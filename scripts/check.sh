@@ -2,7 +2,8 @@
 # Full verification: plain build + tests, then the same suite under
 # AddressSanitizer + UBSan (-DMANET_SANITIZE=ON), then a multi-threaded
 # short-sweep bench smoke under the sanitizers (races / UB in the
-# experiment engine's parallel trial fan-out would surface here).
+# experiment engine's parallel trial fan-out would surface here), and
+# finally the benchmark's self-test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -243,5 +244,12 @@ cmake --build build-tsan -j "$jobs" \
     --json="$smoke_dir/tsan_fig5.json" >/dev/null
 grep -q '^{' "$smoke_dir/tsan_fig5.json" \
   || { echo "empty JSON sink output under TSan"; exit 1; }
+
+echo "== benchmark self-test =="
+# Every workload at smoke length, traced and untraced: metric names and
+# units against BENCHMARK.json, span nesting and coverage, and the
+# benchmark's detection runs against the library harness. Builds its own
+# optimized tree (.bench_build/) on first use.
+python3 benchmark/selftest.py
 
 echo "All checks passed."

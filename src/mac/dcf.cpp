@@ -33,7 +33,24 @@ void DcfMac::add_identity_alias(NodeId alias) {
 
 bool DcfMac::enqueue(NodeId dest, std::uint32_t payload_bytes,
                      std::uint64_t payload_id) {
+  // Refuse before building the frame: at saturation most offers are drops.
+  if (queue_.size() >= params_.queue_capacity) {
+    ++stats_.queue_drops;
+    return false;
+  }
   return enqueue_frame(make_data(id(), dest, payload_bytes, payload_id, params_));
+}
+
+bool DcfMac::wait_for_queue_space(QueueSpaceListener* listener) {
+  if (params_.queue_capacity == 0 || queue_.size() < params_.queue_capacity) {
+    return false;
+  }
+  queue_listeners_.push_back(listener);
+  return true;
+}
+
+void DcfMac::cancel_queue_wait(QueueSpaceListener* listener) {
+  std::erase(queue_listeners_, listener);
 }
 
 bool DcfMac::enqueue_frame(Frame data) {
@@ -54,6 +71,13 @@ void DcfMac::start_service() {
   if (queue_.empty()) return;
   current_ = std::make_unique<Frame>(queue_.front());
   queue_.pop_front();
+  if (!queue_listeners_.empty()) {
+    // Wake parked senders; each settles its refusals up to this instant and
+    // schedules its next arrival as a real event.
+    std::vector<QueueSpaceListener*> woken;
+    woken.swap(queue_listeners_);
+    for (QueueSpaceListener* l : woken) l->on_queue_space();
+  }
   attempt_ = 1;
   phase_ = SenderPhase::kContending;
   prepare_backoff();

@@ -52,6 +52,20 @@ class MacObserver {
   virtual void on_frame(const Frame& frame, SimTime start, SimTime end) = 0;
 };
 
+/// A sender parked on a full interface queue (net/traffic.hpp's sources).
+/// While parked it keeps its refused arrivals to itself; the MAC asks it to
+/// settle them whenever its counters are read and wakes it when a frame
+/// leaves the queue.
+class QueueSpaceListener {
+ public:
+  virtual ~QueueSpaceListener() = default;
+  /// Accounts every refused arrival that dispatch has reached (adding them
+  /// to the MAC through count_queue_drops).
+  virtual void settle() = 0;
+  /// A frame just left the queue. The listener was unregistered first.
+  virtual void on_queue_space() = 0;
+};
+
 struct MacStats {
   std::uint64_t enqueued = 0;
   std::uint64_t queue_drops = 0;
@@ -70,6 +84,8 @@ struct MacStats {
   std::uint64_t frames_received = 0;
   std::uint64_t backoffs_started = 0;
   std::uint64_t backoff_slots_total = 0;
+
+  friend bool operator==(const MacStats&, const MacStats&) = default;
 };
 
 class DcfMac : public phy::RadioListener {
@@ -78,7 +94,14 @@ class DcfMac : public phy::RadioListener {
 
   NodeId id() const { return radio_.id(); }
   const DcfParams& params() const { return params_; }
-  const MacStats& stats() const { return stats_; }
+  /// Exact at any point: parked senders settle their refusals first.
+  const MacStats& stats() const {
+    // Logically const: settling only brings in drops that have already
+    // happened in simulated time (the listeners add them through their own
+    // non-const handle on this MAC).
+    for (QueueSpaceListener* l : queue_listeners_) l->settle();
+    return stats_;
+  }
   const VerifiableBackoff& prs() const { return prs_; }
 
   void set_listener(MacListener* listener) { listener_ = listener; }
@@ -112,6 +135,16 @@ class DcfMac : public phy::RadioListener {
   /// multi-hop headers). The frame's transmitter is overwritten with this
   /// node's address; type must be kData.
   bool enqueue_frame(Frame data);
+
+  /// Parks `listener` until a frame next leaves the interface queue (one
+  /// shot). Returns false, registering nothing, when no frame can leave
+  /// because the queue is not full (or has no capacity at all).
+  bool wait_for_queue_space(QueueSpaceListener* listener);
+  /// Unregisters a parked listener (no-op when it is not parked).
+  void cancel_queue_wait(QueueSpaceListener* listener);
+  /// Counts submissions a parked listener settled as refused at a full
+  /// queue (MacStats::queue_drops).
+  void count_queue_drops(std::uint64_t n) { stats_.queue_drops += n; }
 
   std::size_t queue_length() const { return queue_.size(); }
   bool busy_with_packet() const { return current_ != nullptr; }
@@ -167,6 +200,7 @@ class DcfMac : public phy::RadioListener {
   std::vector<NodeId> identity_aliases_;  // empty for every honest node
 
   std::deque<Frame> queue_;
+  std::vector<QueueSpaceListener*> queue_listeners_;  // parked, in park order
   std::unique_ptr<Frame> current_;
   std::uint32_t attempt_ = 1;
   std::uint64_t seq_index_ = 0;

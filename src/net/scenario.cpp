@@ -1,6 +1,7 @@
 #include "net/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -84,6 +85,10 @@ void ScenarioConfig::validate() const {
             kMaxAreaM)) {
     throw std::invalid_argument(
         "grid spacing out of range: " + std::to_string(grid_spacing_m));
+  }
+  if (!std::isfinite(packets_per_second) || !(packets_per_second > 0.0)) {
+    throw std::invalid_argument("traffic rate must be finite and positive: " +
+                                std::to_string(packets_per_second));
   }
   if (!(timeline_retention_s > 0.0)) {
     throw std::invalid_argument("timeline retention must be positive");

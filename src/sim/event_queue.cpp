@@ -5,7 +5,7 @@
 
 namespace manet::sim {
 
-EventId EventQueue::schedule(SimTime t, EventFn fn) {
+EventId EventQueue::schedule_at_key(const EventKey& key, EventFn fn) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -16,7 +16,7 @@ EventId EventQueue::schedule(SimTime t, EventFn fn) {
   }
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
-  heap_.push_back(Entry{t, next_seq_++, slot, s.generation});
+  heap_.push_back(Entry{key, slot, s.generation});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
   return make_id(slot, s.generation);
@@ -55,7 +55,7 @@ void EventQueue::drop_dead_head() {
 
 SimTime EventQueue::next_time() {
   drop_dead_head();
-  return heap_.empty() ? kTimeNever : heap_.front().time;
+  return heap_.empty() ? kTimeNever : heap_.front().key.time;
 }
 
 EventQueue::Dispatched EventQueue::pop() {
@@ -64,7 +64,7 @@ EventQueue::Dispatched EventQueue::pop() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const Entry e = heap_.back();
   heap_.pop_back();
-  Dispatched d{e.time, make_id(e.slot, e.generation), std::move(slots_[e.slot].fn)};
+  Dispatched d{e.key, make_id(e.slot, e.generation), std::move(slots_[e.slot].fn)};
   release_slot(e.slot);
   return d;
 }

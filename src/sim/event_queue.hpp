@@ -1,12 +1,16 @@
 // Pending-event set for the discrete-event kernel.
 //
-// A binary heap of small POD entries keyed by (time, sequence number). The
-// sequence number makes dispatch order total and deterministic: events
-// scheduled earlier run first among equal timestamps (FIFO), which is what
-// protocol code expects.
+// A binary heap of small POD entries keyed by (time, scheduling instant,
+// sequence number). The key makes dispatch order total and deterministic:
+// events scheduled earlier run first among equal timestamps (FIFO), which is
+// what protocol code expects. Scheduling instants never decrease as the
+// sequence number grows, so the middle field never reorders anything that
+// (time, seq) alone would order; it lets a caller insert an event "as of" an
+// earlier instant (schedule_at_key) and still land exactly where an event
+// scheduled back then would have (net/traffic.hpp's parked sources).
 //
 // Callables live outside the heap in a slot table (reused via a free list)
-// so heap sift operations move 24-byte PODs, not closures, and the
+// so heap sift operations move 32-byte PODs, not closures, and the
 // small-buffer EventFn keeps typical MAC timers off the allocator entirely.
 // An EventId encodes (slot, generation); the generation is bumped whenever
 // a slot is cancelled or dispatched, so stale ids can never alias a reused
@@ -34,11 +38,36 @@ inline constexpr EventId kInvalidEvent = 0;
 /// fall back to one heap allocation, exactly like std::function always did.
 using EventFn = util::SmallFunction<void(), 48>;
 
+/// An event's position in dispatch order: earlier `time` first; at equal
+/// times the event scheduled at the earlier instant; then schedule order.
+struct EventKey {
+  SimTime time = 0;
+  SimTime scheduled_at = 0;
+  std::uint64_t seq = 0;
+
+  friend bool operator<(const EventKey& a, const EventKey& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.scheduled_at != b.scheduled_at) return a.scheduled_at < b.scheduled_at;
+    return a.seq < b.seq;
+  }
+};
+
 class EventQueue {
  public:
   /// Schedules `fn` at absolute time `t`; returns a cancellable id (never
-  /// kInvalidEvent).
-  EventId schedule(SimTime t, EventFn fn);
+  /// kInvalidEvent). `scheduled_at` is the caller's clock (the Simulator
+  /// passes now()); it must not decrease from one call to the next.
+  EventId schedule(SimTime t, EventFn fn, SimTime scheduled_at = 0) {
+    return schedule_at_key(EventKey{t, scheduled_at, next_seq_++}, std::move(fn));
+  }
+
+  /// Schedules `fn` at an explicit key whose seq came from reserve_seq():
+  /// the event dispatches exactly where one scheduled by schedule() at
+  /// `key.scheduled_at`, at the moment the seq was reserved, would have.
+  EventId schedule_at_key(const EventKey& key, EventFn fn);
+
+  /// Consumes the sequence number the next schedule() would use.
+  std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// Cancels a pending event. Cancelling an already-dispatched, already-
   /// cancelled, or invalid id is a harmless no-op.
@@ -61,7 +90,7 @@ class EventQueue {
 
   /// Removes and returns the earliest live event. Precondition: !empty().
   struct Dispatched {
-    SimTime time;
+    EventKey key;
     EventId id;
     EventFn fn;
   };
@@ -88,17 +117,13 @@ class EventQueue {
     return (static_cast<EventId>(generation) << 32) | slot;
   }
 
-  struct Entry {  // 24-byte POD moved by heap sifts
-    SimTime time;
-    std::uint64_t seq;       // schedule order; total tie-break at equal times
+  struct Entry {  // 32-byte POD moved by heap sifts
+    EventKey key;
     std::uint32_t slot;
     std::uint32_t generation;
   };
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
+    bool operator()(const Entry& a, const Entry& b) const { return b.key < a.key; }
   };
 
   struct Slot {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "sim/event_queue.hpp"
 #include "util/types.hpp"
@@ -22,6 +23,20 @@ class Simulator {
 
   /// Schedules after a non-negative delay.
   EventId after(SimDuration d, EventFn fn) { return at(now_ + d, std::move(fn)); }
+
+  /// Schedules at an explicit dispatch-order key (EventQueue::
+  /// schedule_at_key); the key must lie after progress().
+  EventId at_key(const EventKey& key, EventFn fn);
+
+  /// Reserves the sequence number an event scheduled right now would get,
+  /// for an event inserted later with at_key().
+  std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
+
+  /// How far dispatch has got, as a key: every event ordered before it has
+  /// run. While an event runs this is that event's key; once run_until()
+  /// (or run()) returns without stop(), everything at or before the end
+  /// time counts as run. Never moves backwards.
+  const EventKey& progress() const { return progress_; }
 
   void cancel(EventId id) { queue_.cancel(id); }
   bool pending(EventId id) const { return queue_.pending(id); }
@@ -45,6 +60,7 @@ class Simulator {
 
   EventQueue queue_;
   SimTime now_ = 0;
+  EventKey progress_{0, std::numeric_limits<SimTime>::min(), 0};
   bool stopped_ = false;
   std::uint64_t dispatched_ = 0;
 };

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "net/load.hpp"
 #include "net/mobility.hpp"
@@ -267,6 +270,43 @@ TEST(Load, CalibratorHitsTarget) {
   EXPECT_GT(result.packets_per_second, 0.0);
 }
 
+
+TEST(Traffic, RejectsNonFiniteOrNonPositiveRates) {
+  ScenarioConfig cfg = small_grid();
+  Network net(cfg);
+  const double bad[] = {0.0, -5.0, std::nan(""), std::numeric_limits<double>::infinity()};
+  for (const double rate : bad) {
+    SCOPED_TRACE(rate);
+    EXPECT_THROW(PoissonSource(net.simulator(), 0, net.sink(0), 1, rate, 512, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(CbrSource(net.simulator(), 0, net.sink(0), 1, rate, 512, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(net.add_flow(0, 1, rate), std::invalid_argument);
+  }
+  PoissonSource poisson(net.simulator(), 0, net.sink(0), 1, 10.0, 512, 1);
+  CbrSource cbr(net.simulator(), 0, net.sink(0), 1, 10.0, 512, 1);
+  for (const double rate : bad) {
+    SCOPED_TRACE(rate);
+    EXPECT_THROW(poisson.set_rate(rate), std::invalid_argument);
+    EXPECT_THROW(cbr.set_rate(rate), std::invalid_argument);
+  }
+  EXPECT_EQ(poisson.rate(), 10.0);  // a rejected rate leaves the old one
+  EXPECT_EQ(cbr.rate(), 10.0);
+}
+
+TEST(Scenario, ValidateRejectsNonFiniteOrNonPositiveRates) {
+  for (const double rate : {0.0, -1.0, std::nan(""), -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(rate);
+    ScenarioConfig cfg;
+    cfg.packets_per_second = rate;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    EXPECT_THROW(Network{cfg}, std::invalid_argument);
+  }
+  util::Config c;
+  ScenarioConfig::declare(c);
+  c.set("rate", "0");
+  EXPECT_THROW(ScenarioConfig::from_config(c), std::invalid_argument);
+}
 
 TEST(Traffic, SetDestinationRedirectsFuturePackets) {
   ScenarioConfig cfg = small_grid();

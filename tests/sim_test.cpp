@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -109,11 +113,92 @@ TEST(EventQueue, HeapStaysBoundedWhenCancelsDominate) {
   SimTime prev = 0;
   while (!q.empty()) {
     const auto d = q.pop();
-    EXPECT_GT(d.time, prev);
-    prev = d.time;
+    EXPECT_GT(d.key.time, prev);
+    prev = d.key.time;
     ++popped;
   }
   EXPECT_EQ(popped, live.size());
+}
+
+TEST(EventQueue, SchedulingInstantKeyKeepsTimeSeqOrder) {
+  // The heap orders by (time, scheduled_at, seq). With scheduled_at taken
+  // from a clock that never decreases (the Simulator's now()), random
+  // schedule/cancel/pop sequences must dispatch in plain (time, seq) order.
+  util::Xoshiro256ss rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    EventQueue q;
+    std::map<std::pair<SimTime, std::uint64_t>, int> reference;  // (time, seq)
+    std::vector<std::pair<EventId, std::pair<SimTime, std::uint64_t>>> live;
+    std::vector<int> got;
+    std::vector<int> want;
+    SimTime clock = 0;
+    std::uint64_t seq = 0;
+    const auto pop_one = [&] {
+      auto d = q.pop();
+      clock = d.key.time;
+      d.fn();
+      want.push_back(reference.begin()->second);
+      reference.erase(reference.begin());
+      std::erase_if(live, [&](const auto& e) { return e.first == d.id; });
+    };
+    for (int op = 0; op < 1500; ++op) {
+      const std::uint64_t r = rng.uniform_int(10);
+      if (r < 6) {
+        // Few distinct offsets: many equal times with different instants.
+        const SimTime t = clock + static_cast<SimTime>(rng.uniform_int(4)) * 10;
+        const std::pair<SimTime, std::uint64_t> key{t, seq++};
+        live.emplace_back(q.schedule(t, [&got, op] { got.push_back(op); }, clock), key);
+        reference[key] = op;
+      } else if (r < 8 && !live.empty()) {
+        const std::size_t i = rng.uniform_int(live.size());
+        q.cancel(live[i].first);
+        reference.erase(live[i].second);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (!q.empty()) {
+        pop_one();
+      }
+    }
+    while (!q.empty()) pop_one();
+    ASSERT_EQ(got, want);
+    EXPECT_TRUE(reference.empty());
+  }
+}
+
+TEST(Simulator, ReservedSeqDispatchesWhereItWasReserved) {
+  Simulator sim;
+  std::vector<int> order;
+  std::uint64_t reserved = 0;
+  sim.at(5, [&] {
+    sim.at(10, [&] { order.push_back(1); });
+    reserved = sim.reserve_seq();
+    sim.at(10, [&] { order.push_back(3); });
+  });
+  sim.at(7, [&] {
+    sim.at(10, [&] { order.push_back(4); });
+    // Inserted later, but "as of" instant 5 between the two events above.
+    sim.at_key(EventKey{10, 5, reserved}, [&] { order.push_back(2); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(Simulator, ProgressTracksDispatchAndRunUntilEnd) {
+  Simulator sim;
+  EventKey seen;
+  sim.at(3, [&] { seen = sim.progress(); });
+  sim.run_until(10);
+  EXPECT_EQ(seen.time, 3);
+  EXPECT_EQ(seen.scheduled_at, 0);
+  // After run_until everything up to and including t = 10 counts as run...
+  EXPECT_TRUE((EventKey{10, 9, 12345} < sim.progress()));
+  EXPECT_TRUE(sim.progress() < (EventKey{11, 0, 0}));
+  // ...so an event scheduled now at t = 10 leaves progress where it is, and
+  // a key before the dispatch point is refused.
+  sim.at(10, [&] { seen = sim.progress(); });
+  sim.run_until(10);
+  EXPECT_TRUE((EventKey{10, 9, 12345} < seen));
+  EXPECT_THROW(sim.at_key(EventKey{10, 9, 0}, [] {}), std::invalid_argument);
+  EXPECT_NO_THROW(sim.at_key(EventKey{11, 9, sim.reserve_seq()}, [] {}));
 }
 
 TEST(Simulator, ClockAdvancesWithEvents) {
