@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   flags.add_double_list("alphas", "0.9,0.99,0.995,0.999", "ARMA alphas probed");
   flags.add_double("pm", 50, "PM for the detection half of the study");
   flags.add_double("sim_time", 180, "simulated seconds per run");
-  flags.add_int("sample_size", 10, "Wilcoxon window size");
+  flags.add_count("sample_size", 10, "Wilcoxon window size");
   flags.add_int("runs", 1, "independent runs per point (consecutive seeds)");
   flags.add_int("seed", 701, "base random seed");
   flags.add_engine_flags();

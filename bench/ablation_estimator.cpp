@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   flags.add_double_list("loads", "0.3,0.6,0.9", "target traffic intensities");
   flags.add_double_list("pms", "0,25,50,90", "PM values probed");
   flags.add_double("sim_time", 120, "simulated seconds per point");
-  flags.add_int("sample_size", 10, "Wilcoxon window size");
+  flags.add_count("sample_size", 10, "Wilcoxon window size");
   flags.add_int("seed", 501, "random seed");
   flags.add_engine_flags();
   flags.parse_or_exit(argc, argv);

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   flags.add_double("load", 0.6, "target traffic intensity");
   flags.add_double_list("pms", "0,10,25,50,90", "PM values swept");
   flags.add_double("sim_time", 240, "simulated seconds per PM point");
-  flags.add_int("sample_size", 10, "Wilcoxon window size");
+  flags.add_count("sample_size", 10, "Wilcoxon window size");
   flags.add_int("runs", 2, "independent runs per point");
   flags.add_int("seed", 801, "base random seed");
   flags.add_engine_flags();

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   flags.add_double("rate", 6, "per-flow packet rate (multi-hop flows)");
   flags.add_int("num_flows", 20, "number of multi-hop background flows");
   flags.add_double("sim_time", 180, "simulated seconds");
-  flags.add_int("sample_size", 10, "Wilcoxon window size");
+  flags.add_count("sample_size", 10, "Wilcoxon window size");
   flags.add_int("seed", 901, "random seed");
   flags.add_string("json", "", "write one JSON record per watched suspect to this file");
   flags.parse_or_exit(argc, argv);

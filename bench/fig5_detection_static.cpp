@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
       "Figure 5(a)-(c): probability of correct diagnosis vs PM, static grid.");
   flags.add_double_list("loads", "0.3,0.6,0.9", "target traffic intensities (Fig. 5 a-c)");
   flags.add_double_list("pms", "10,25,40,50,65,80,90,100", "percentages of misbehavior swept");
-  flags.add_double_list("sample_sizes", "10,25,50,100", "Wilcoxon window sizes");
+  flags.add_count_list("sample_sizes", "10,25,50,100", "Wilcoxon window sizes");
   flags.add_double("sim_time", 300, "simulated seconds per (load, PM) point");
   flags.add_int("runs", 2, "independent runs per point (consecutive seeds)");
   flags.add_int("seed", 101, "base random seed");
@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   flags.add_string("channel_index", "auto",
                    "channel receiver lookup: auto | incremental | rebuild | scan");
   flags.add_engine_flags();
-  flags.add_monitor_impl_flag();
   flags.add_fabric_flags();
   flags.parse_or_exit(argc, argv);
 
@@ -94,7 +93,6 @@ int main(int argc, char** argv) {
   const auto build_point = [&](std::uint64_t cell) {
     detect::MultiDetectionConfig cfg;
     cfg.scenario = scenario;
-    cfg.pipeline = flags.pipeline();
     bool gap_bound = false;
     if (cell < grid_cells) {
       const std::size_t li = static_cast<std::size_t>(cell / pms.size());

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
                        "mobility (random waypoint), load 0.6.");
   flags.add_double("load", 0.6, "target traffic intensity");
   flags.add_double_list("pms", "10,25,40,50,65,80,90,100", "PM values swept");
-  flags.add_double_list("sample_sizes", "10,25,50,100", "Wilcoxon window sizes");
+  flags.add_count_list("sample_sizes", "10,25,50,100", "Wilcoxon window sizes");
   flags.add_double("sim_time", 300, "simulated seconds per PM point");
   flags.add_int("runs", 1, "independent runs per point");
   flags.add_int("seed", 211, "base random seed");
@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   flags.add_string("channel_index", "auto",
                    "channel receiver lookup: auto | incremental | rebuild | scan");
   flags.add_engine_flags();
-  flags.add_monitor_impl_flag();
   flags.parse_or_exit(argc, argv);
 
   const auto pms = flags.get_double_list("pms");
@@ -66,7 +65,6 @@ int main(int argc, char** argv) {
     cfg.rate_pps = rate;
     cfg.pm = pm;
     cfg.mobile_handoff = true;
-    cfg.pipeline = flags.pipeline();
     for (double ss : sample_sizes) {
       detect::MonitorConfig m;
       m.sample_size = static_cast<std::size_t>(ss);

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
       "Figure 6(a): probability of misdiagnosis vs sample "
                        "size, static grid.");
   flags.add_double_list("loads", "0.3,0.6,0.9", "target traffic intensities");
-  flags.add_double_list("sample_sizes", "10,25,50,100", "Wilcoxon window sizes");
+  flags.add_count_list("sample_sizes", "10,25,50,100", "Wilcoxon window sizes");
   flags.add_double("sim_time", 300, "simulated seconds per run");
   flags.add_int("runs", 4, "independent runs per load (consecutive seeds)");
   flags.add_int("seed", 301, "base random seed");
@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   flags.add_string("channel_index", "auto",
                    "channel receiver lookup: auto | incremental | rebuild | scan");
   flags.add_engine_flags();
-  flags.add_monitor_impl_flag();
   flags.add_fabric_flags();
   flags.parse_or_exit(argc, argv);
 
@@ -106,7 +105,6 @@ int main(int argc, char** argv) {
   const auto build_point = [&](std::uint64_t cell) {
     detect::MultiDetectionConfig cfg;
     cfg.scenario = scenario;
-    cfg.pipeline = flags.pipeline();
     cfg.pm = 0.0;  // everyone is honest
     bool attacker_row = cell >= honest_cells;
     std::size_t li;

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
       "Figure 6(b): probability of misdiagnosis with "
                        "mobility, load 0.6.");
   flags.add_double("load", 0.6, "target traffic intensity");
-  flags.add_double_list("sample_sizes", "10,25,50,100", "Wilcoxon window sizes");
+  flags.add_count_list("sample_sizes", "10,25,50,100", "Wilcoxon window sizes");
   flags.add_double("sim_time", 300, "simulated seconds per run");
   flags.add_int("runs", 3, "independent runs (consecutive seeds)");
   flags.add_int("seed", 401, "base random seed");
@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   flags.add_double("max_speed", 20, "random waypoint max speed (m/s)");
   flags.add_double("pause", 0, "random waypoint pause time (s)");
   flags.add_engine_flags();
-  flags.add_monitor_impl_flag();
   flags.parse_or_exit(argc, argv);
 
   const auto sample_sizes = flags.get_double_list("sample_sizes");
@@ -52,7 +51,6 @@ int main(int argc, char** argv) {
   cfg.rate_pps = rate;
   cfg.pm = 0.0;
   cfg.mobile_handoff = true;
-  cfg.pipeline = flags.pipeline();
   for (double ss : sample_sizes) {
     detect::MonitorConfig m;
     m.sample_size = static_cast<std::size_t>(ss);

@@ -11,11 +11,8 @@
 // Not a figure from the paper; it extends the Figure-5 setup to the
 // paper's remark that every neighbor of a sender can monitor it
 // independently. Detection rates are per-monitor-config aggregates over
-// all monitoring nodes. --monitor_impl picks the pipeline: batch (SoA
-// config-group lanes, the default), hub (one view per monitor), or
-// reference (private per-monitor state, the pre-hub pipeline) — all three
-// bit-identical, and the batch/hub wall-clock ratio at --grid_spacing=170
-// (degree-8 center) is the headline of bench/perf_pr8.sh.
+// all monitoring nodes. --grid_spacing=170 gives the center 8 in-range
+// neighbors, the shape of the benchmark's allpairs_deg8 workload.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -31,7 +28,7 @@ int main(int argc, char** argv) {
                        "tagged node runs the full monitor set, static grid.");
   flags.add_double_list("loads", "0.6", "target traffic intensities");
   flags.add_double_list("pms", "0,50", "percentages of misbehavior swept");
-  flags.add_double_list("sample_sizes", "10,25,50,100", "Wilcoxon window sizes");
+  flags.add_count_list("sample_sizes", "10,25,50,100", "Wilcoxon window sizes");
   flags.add_double_list("margins", "0.05,0.10,0.15", "permissible deficit fractions (configs = sizes x margins)");
   flags.add_int("grid_rows", 3, "grid rows (3x3 = one contention domain)");
   flags.add_int("grid_cols", 3, "grid columns");
@@ -47,7 +44,6 @@ int main(int argc, char** argv) {
   flags.add_string("channel_index", "auto",
                    "channel receiver lookup: auto | incremental | rebuild | scan");
   flags.add_engine_flags();
-  flags.add_monitor_impl_flag();
   flags.parse_or_exit(argc, argv);
 
   const auto loads = flags.get_double_list("loads");
@@ -86,7 +82,6 @@ int main(int argc, char** argv) {
       cfg.rate_pps = load_rates[li];
       cfg.pm = pm;
       cfg.all_pairs = true;
-      cfg.pipeline = flags.pipeline();
       for (double margin : margins) {
         for (double ss : sample_sizes) {
           detect::MonitorConfig m;

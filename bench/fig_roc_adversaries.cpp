@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   flags.add_double_list("thresholds", "0.0005,0.001,0.005,0.01,0.05,0.1,0.2", "detection thresholds (p-value cutoffs) swept for the ROC; "
                  "0.0005 sits below the ss=10 Wilcoxon floor of 1/2^10");
   flags.add_double("load", 0.6, "target traffic intensity");
-  flags.add_double_list("sample_sizes", "10", "Wilcoxon window sizes");
+  flags.add_count_list("sample_sizes", "10", "Wilcoxon window sizes");
   flags.add_name_list("detectors", "wilcoxon",
                       "statistical tests closing the windows (wilcoxon, "
                       "cusum, sprt); one ROC per detector x sample size — "
@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
   flags.add_int("seed", 601, "base random seed");
   flags.add_double("margin", 0.10, "permissible back-off deficit (fraction of expected mean)");
   flags.add_engine_flags();
-  flags.add_monitor_impl_flag();
   flags.add_fabric_flags();
   flags.parse_or_exit(argc, argv);
 
@@ -134,7 +133,6 @@ int main(int argc, char** argv) {
     cfg.scenario = scenario;
     cfg.rate_pps = rate_pps;
     cfg.attacker = spec;
-    cfg.pipeline = flags.pipeline();
     cfg.collect_windows = true;
     // Config index (di * |sample_sizes| + si): detector-major, matching
     // the scoring loops below.

@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
     if (cache_stats) {
       // Timing-free internals: recorded only on request so default JSON
       // stays diffable across index modes (the identity check in
-      // perf_pr9.sh strips wall fields but compares everything else).
+      // scripts/check.sh strips wall fields but compares everything else).
       rec.add("grid_rebuilds", cs.grid_rebuilds)
           .add("full_scans", cs.full_scans)
           .add("cell_migrations", cs.cell_migrations)

@@ -10,11 +10,12 @@
 // prints "flag error: ..." and exits 1. Typed getters after a successful
 // parse cannot throw.
 //
-// The engine/monitor flag groups shared by the sweep benches (--threads,
-// --json, --monitor_impl) register with one call and come with their
-// factories (make_engine, make_sink, pipeline).
+// The flag groups shared by the sweep benches (--threads/--json, the
+// fabric flags) register with one call and come with their factories
+// (make_engine, make_sink, make_fabric).
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -22,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "detect/monitor.hpp"
 #include "exp/engine.hpp"
 #include "exp/fabric.hpp"
 #include "exp/shard.hpp"
@@ -119,6 +119,23 @@ class FlagSet {
     return *this;
   }
 
+  /// A count such as a sample size: parse() rejects non-integers and
+  /// values outside [1, 1e9].
+  FlagSet& add_count(const std::string& name, long long default_value,
+                     const std::string& help) {
+    declare(name, std::to_string(default_value), help, Kind::kCount);
+    return *this;
+  }
+
+  /// Comma-separated counts ("10,25,50,100"), each checked like
+  /// add_count; read back with get_double_list.
+  FlagSet& add_count_list(const std::string& name,
+                          const std::string& default_value,
+                          const std::string& help) {
+    declare(name, default_value, help, Kind::kCountList);
+    return *this;
+  }
+
   /// Comma-separated doubles; the default is given in flag syntax ("5,10,25").
   FlagSet& add_double_list(const std::string& name,
                            const std::string& default_value,
@@ -148,21 +165,6 @@ class FlagSet {
   FlagSet& add_json_flag(const std::string& help =
                              "write one JSON record per result to this file") {
     add_string("json", "", help);
-    return *this;
-  }
-
-  /// --monitor_impl for detection benches: "batch" (SoA config-group lanes
-  /// over a shared ObservationHub, the optimized pipeline), "hub" (one
-  /// HubView per monitor over a shared hub), or "reference" (private hub
-  /// per monitor, structurally the pre-hub pipeline). Results are
-  /// bit-identical across all three — perf_pr5.sh/perf_pr8.sh diff them —
-  /// so the flag is deliberately NOT part of the JSON records.
-  FlagSet& add_monitor_impl_flag() {
-    add_string("monitor_impl", "batch",
-               "detection pipeline: batch (SoA lanes over a shared "
-               "observation hub), hub (one view per monitor), or reference "
-               "(private per-monitor state; perf baseline)");
-    has_monitor_impl_flag_ = true;
     return *this;
   }
 
@@ -256,22 +258,16 @@ class FlagSet {
     }
   }
 
-  /// PipelineImpl value of --monitor_impl (requires add_monitor_impl_flag()).
-  detect::PipelineImpl pipeline() const {
-    return detect::pipeline_from_name(config_.get("monitor_impl"));
-  }
-
   /// Shard-independent fingerprint of the sweep this invocation computes:
   /// the bench name plus every registered flag that changes record
   /// CONTENT. Flags that only change how/where the sweep executes
-  /// (--threads, --shard, sink paths, checkpointing, --monitor_impl — all
-  /// documented bit-identical) are excluded, so all shards of one sweep
-  /// agree on the fingerprint and sweep_merge can verify they belong
-  /// together.
+  /// (--threads, --shard, sink paths, checkpointing — all documented
+  /// bit-identical) are excluded, so all shards of one sweep agree on the
+  /// fingerprint and sweep_merge can verify they belong together.
   std::string sweep_fingerprint(const std::string& bench) const {
     static constexpr const char* kExecutionFlags[] = {
-        "threads", "json",  "columnar",     "checkpoint",
-        "shard",   "trace", "monitor_impl", "checkpoint_cells"};
+        "threads", "json",  "columnar", "checkpoint",
+        "shard",   "trace", "checkpoint_cells"};
     std::string fp = "sweep1|" + bench;
     for (const std::string& key : config_.keys()) {
       bool execution_only = false;
@@ -320,7 +316,19 @@ class FlagSet {
   const util::Config& config() const { return config_; }
 
  private:
-  enum class Kind { kString, kInt, kDouble, kDoubleList, kNameList };
+  enum class Kind {
+    kString, kInt, kCount, kDouble, kDoubleList, kCountList, kNameList
+  };
+
+  /// Largest accepted count: far beyond any sample size that fits in
+  /// memory, and small enough that the cast to std::size_t is exact.
+  static constexpr double kMaxCount = 1e9;
+
+  static void check_count(double value) {
+    if (!(value >= 1.0) || value > kMaxCount || value != std::floor(value)) {
+      throw util::ConfigError("must be an integer in [1, 1e9]");
+    }
+  }
 
   void declare(const std::string& name, const std::string& default_value,
                const std::string& help, Kind kind) {
@@ -345,11 +353,17 @@ class FlagSet {
           case Kind::kInt:
             config_.get_int(name);
             break;
+          case Kind::kCount:
+            check_count(static_cast<double>(config_.get_int(name)));
+            break;
           case Kind::kDouble:
             config_.get_double(name);
             break;
           case Kind::kDoubleList:
             parse_double_list(config_.get(name));
+            break;
+          case Kind::kCountList:
+            for (double v : parse_double_list(config_.get(name))) check_count(v);
             break;
           case Kind::kNameList:
             parse_name_list(config_.get(name));
@@ -361,12 +375,6 @@ class FlagSet {
     }
     if (has_engine_flags_ && config_.get_int("threads") < 0) {
       throw util::ConfigError("--threads must be >= 0");
-    }
-    if (has_monitor_impl_flag_) {
-      const std::string& impl = config_.get("monitor_impl");
-      if (impl != "batch" && impl != "hub" && impl != "reference") {
-        throw util::ConfigError("--monitor_impl must be batch, hub, or reference");
-      }
     }
     if (has_fabric_flags_) {
       try {
@@ -384,7 +392,6 @@ class FlagSet {
   std::string description_;
   std::vector<std::pair<std::string, Kind>> typed_;
   bool has_engine_flags_ = false;
-  bool has_monitor_impl_flag_ = false;
   bool has_fabric_flags_ = false;
 };
 

@@ -14,12 +14,9 @@
 //                       unit detection latency is quoted in) must clear
 //                       1M/s; the per-record `events` field counts
 //                       carrier edges too.
-//  * replay_*_wilcoxon_x16 — the same replay evaluating a 16-config
+//  * replay_batch_wilcoxon_x16 — the same replay evaluating a 16-config
 //                       (sample size x margin) monitor grid over the one
-//                       recorded stream; batch_x16/hub_x16 is the
-//                       ingest-side speedup perf_pr8.sh records (the
-//                       single-config replay_hub_wilcoxon twin shows the
-//                       lane indirection is noise when nothing shares).
+//                       recorded stream.
 //
 // The workload trace is recorded once per process from a fig5-style
 // static-grid run (PM 65, saturating rate) — the same shape the
@@ -81,7 +78,7 @@ TraceCensus census(const detect::MemoryTraceReader& reader) {
 /// `configs` > 1 replays a (sample size x margin) monitor grid over the
 /// one recorded stream — the shape the batched lanes exist for.
 void run_replay(bench::MicroHarness& h, const std::string& name,
-                detect::PipelineImpl impl, detect::DetectorKind kind,
+                detect::DetectorKind kind,
                 std::size_t configs, std::size_t base_reps) {
   if (!h.enabled(name)) return;
   detect::MemoryTraceReader reader(workload_trace());
@@ -104,7 +101,7 @@ void run_replay(bench::MicroHarness& h, const std::string& name,
       name,
       [&] {
         for (std::size_t i = 0; i < reps; ++i) {
-          detect::ReplaySession session(reader.header(), monitors, impl);
+          detect::ReplaySession session(reader.header(), monitors);
           reader.rewind();
           session.run(reader);
           windows = session.views().front()->stats().windows;
@@ -126,7 +123,7 @@ int main(int argc, char** argv) {
   bench::MicroHarness h(
       "micro_ingest",
       "Streaming detection path: trace wire-format decode/serialize and "
-      "full offline replay through the batched and hub pipelines.",
+      "full offline replay through the batched detection pipeline.",
       argc, argv);
 
   if (h.enabled("trace_decode")) {
@@ -169,17 +166,10 @@ int main(int argc, char** argv) {
         [&](exp::Record& rec) { rec.add("events", reader.event_count()); });
   }
 
-  run_replay(h, "replay_batch_wilcoxon", detect::PipelineImpl::kBatch,
-             detect::DetectorKind::kWilcoxon, 1, 20);
-  run_replay(h, "replay_batch_cusum", detect::PipelineImpl::kBatch,
-             detect::DetectorKind::kCusum, 1, 20);
-  run_replay(h, "replay_batch_sprt", detect::PipelineImpl::kBatch,
-             detect::DetectorKind::kSprt, 1, 20);
-  run_replay(h, "replay_hub_wilcoxon", detect::PipelineImpl::kHub,
-             detect::DetectorKind::kWilcoxon, 1, 20);
-  run_replay(h, "replay_batch_wilcoxon_x16", detect::PipelineImpl::kBatch,
-             detect::DetectorKind::kWilcoxon, 16, 10);
-  run_replay(h, "replay_hub_wilcoxon_x16", detect::PipelineImpl::kHub,
-             detect::DetectorKind::kWilcoxon, 16, 10);
+  run_replay(h, "replay_batch_wilcoxon", detect::DetectorKind::kWilcoxon, 1, 20);
+  run_replay(h, "replay_batch_cusum", detect::DetectorKind::kCusum, 1, 20);
+  run_replay(h, "replay_batch_sprt", detect::DetectorKind::kSprt, 1, 20);
+  run_replay(h, "replay_batch_wilcoxon_x16", detect::DetectorKind::kWilcoxon,
+             16, 10);
   return 0;
 }

@@ -1,18 +1,13 @@
 // Microbenchmarks of the detection pipeline itself: complete
-// run_multi_detection_experiment simulations on a small Table-1 grid,
-// comparing the batched SoA pipeline (monitor lanes grouped per config
-// over one ObservationHub) against the per-view hub pipeline and the
-// private-per-monitor reference (structurally the pre-hub pipeline). All
-// three produce bit-identical WindowResult sequences — the wall-clock
-// gaps are pure overhead removed by sharing observation state (hub vs
-// reference) and by evaluating each frame once per config-group instead
-// of once per monitor (batch vs hub).
+// run_multi_detection_experiment simulations on a small Table-1 grid, with
+// the monitors running as MonitorBatch lanes (grouped per config over one
+// ObservationHub per monitoring node).
 //
 // The allpairs_* cases put the full monitor-config grid on each of the 4
 // neighbors of a dense 3x3 grid's center (the
 // bench/fig_allpairs_monitoring.cpp workload; the trailing number is
-// configs per node, so allpairs_batch_12 is 48 monitors); the single_*
-// cases show the per-lane indirection cost when nothing is shared.
+// configs per node, so allpairs_batch_12 is 48 monitors); single_batch is
+// one monitor, where nothing is shared.
 #include <cstdint>
 #include <string>
 
@@ -26,7 +21,6 @@ using namespace manet;
 // `monitor_configs` is a (sample size x margin) grid, the kind of
 // parameter sweep the fig benches run side by side on one simulation.
 detect::MultiDetectionConfig workload(bool all_pairs,
-                                      detect::PipelineImpl pipeline,
                                       std::size_t monitor_configs) {
   detect::MultiDetectionConfig cfg;
   cfg.scenario.grid_rows = 3;  // one contention domain around the center
@@ -37,7 +31,6 @@ detect::MultiDetectionConfig workload(bool all_pairs,
   cfg.rate_pps = 40.0;
   cfg.pm = 50.0;
   cfg.all_pairs = all_pairs;
-  cfg.pipeline = pipeline;
   const std::size_t sample_sizes[] = {10, 25, 50, 100};
   for (std::size_t i = 0; i < monitor_configs; ++i) {
     detect::MonitorConfig m;
@@ -51,10 +44,10 @@ detect::MultiDetectionConfig workload(bool all_pairs,
 }
 
 void run_workload(bench::MicroHarness& h, const std::string& name,
-                  bool all_pairs, detect::PipelineImpl pipeline,
-                  std::size_t monitor_configs, std::size_t base_reps) {
+                  bool all_pairs, std::size_t monitor_configs,
+                  std::size_t base_reps) {
   if (!h.enabled(name)) return;
-  const auto cfg = workload(all_pairs, pipeline, monitor_configs);
+  const auto cfg = workload(all_pairs, monitor_configs);
   const std::size_t reps = h.reps(base_reps);
   std::uint64_t windows = 0;
   std::uint64_t monitor_nodes = 0;
@@ -82,32 +75,17 @@ void run_workload(bench::MicroHarness& h, const std::string& name,
 int main(int argc, char** argv) {
   bench::MicroHarness h(
       "micro_monitor",
-      "Full detection-pipeline simulations on a dense 3x3 grid: batched "
-      "SoA lanes vs per-view hub vs private-per-monitor reference, "
-      "all-pairs (4 monitoring nodes x N configs) and single-monitor.",
+      "Full detection-pipeline simulations on a dense 3x3 grid with "
+      "batched SoA monitor lanes: all-pairs (4 monitoring nodes x N "
+      "configs) and single-monitor.",
       argc, argv);
-
-  struct Impl {
-    const char* name;
-    detect::PipelineImpl impl;
-  };
-  const Impl impls[] = {{"batch", detect::PipelineImpl::kBatch},
-                        {"hub", detect::PipelineImpl::kHub},
-                        {"reference", detect::PipelineImpl::kReference}};
 
   // The trailing number is monitor configurations per monitoring node; 4
   // neighbors watch the tagged center, so _4 is 16 monitors and _12 is 48.
-  for (const Impl& impl : impls) {
-    for (std::size_t configs : {4u, 12u}) {
-      run_workload(h,
-                   "allpairs_" + std::string(impl.name) + "_" +
-                       std::to_string(configs),
-                   /*all_pairs=*/true, impl.impl, configs, /*base_reps=*/2);
-    }
+  for (std::size_t configs : {4u, 12u}) {
+    run_workload(h, "allpairs_batch_" + std::to_string(configs),
+                 /*all_pairs=*/true, configs, /*base_reps=*/2);
   }
-  for (const Impl& impl : impls) {
-    run_workload(h, "single_" + std::string(impl.name), /*all_pairs=*/false,
-                 impl.impl, 1, /*base_reps=*/3);
-  }
+  run_workload(h, "single_batch", /*all_pairs=*/false, 1, /*base_reps=*/3);
   return 0;
 }

@@ -10,9 +10,9 @@
 //  * columnar_sink_write  — ColumnarFileSink end-to-end: per-column
 //                           encode (raw 8-byte doubles, varints,
 //                           dictionary strings) + CRC framing + stream.
-//                           The fabric's high-rate path; perf_pr10.sh
-//                           quotes columnar-vs-JSON write speedup (target
-//                           >= 10x) and artifact size ratio (~5x).
+//                           The fabric's high-rate path; the summary
+//                           record quotes columnar-vs-JSON write speedup
+//                           (target >= 10x) and artifact size ratio (~5x).
 //  * columnar_read        — read_columnar_file: full validation (CRCs,
 //                           schema refs, cell ordering) + record
 //                           reconstruction of the written artifact.
@@ -145,8 +145,8 @@ int main(int argc, char** argv) {
     return records;
   });
 
-  // Headline comparison, one record so perf_pr10.sh (and humans) get the
-  // ratios without re-deriving them from the per-case rows.
+  // Headline comparison, one record so readers get the ratios without
+  // re-deriving them from the per-case rows.
   const std::uint64_t json_bytes = file_size(json_path);
   const std::uint64_t mcol_bytes = file_size(mcol_path);
   const double write_speedup = mcol_wall > 0.0 ? json_wall / mcol_wall : 0.0;

@@ -6,7 +6,7 @@
 //  * exact_fast_n* / approx_fast_n*   — the scratch-reused scalar path.
 //  * exact_reference_n* / ...         — the retained pre-optimization
 //    implementation (fresh allocations, full-range DP rows, second
-//    tie-group sort); fast/reference is the perf_pr5.sh speedup.
+//    tie-group sort); fast/reference is the optimization's speedup.
 //  * exact_batch_n* / approx_batch_n* — wilcoxon_rank_sum_batch over a
 //    64-item batch of same-size tests, the shape MonitorBatch closes
 //    windows in; per-op cost relative to the scalar fast path shows the

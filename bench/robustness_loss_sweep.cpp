@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   flags.add_double("pm", 50, "attacker percentage of misbehavior");
   flags.add_double("corrupt", 0.02, "field-corruption probability (applied whenever loss > 0)");
   flags.add_double("load", 0.6, "target traffic intensity");
-  flags.add_int("sample_size", 50, "Wilcoxon window size");
+  flags.add_count("sample_size", 50, "Wilcoxon window size");
   flags.add_double("sim_time", 200, "simulated seconds per point");
   flags.add_int("runs", 2, "independent runs per point (consecutive seeds)");
   flags.add_int("seed", 401, "base random seed");

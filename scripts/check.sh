@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Full verification: plain build + tests, then the same suite under
-# AddressSanitizer + UBSan (-DMANET_SANITIZE=ON), then a multi-threaded
-# short-sweep bench smoke under the sanitizers (races / UB in the
-# experiment engine's parallel trial fan-out would surface here), and
-# finally the benchmark's self-test.
+# Full verification: plain build + tests and the artifact determinism
+# gates, then the same suite under AddressSanitizer + UBSan
+# (-DMANET_SANITIZE=ON), then a multi-threaded short-sweep bench smoke
+# under the sanitizers (races / UB in the experiment engine's parallel
+# trial fan-out would surface here), and finally the benchmark's
+# self-test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,6 +14,60 @@ echo "== plain build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+smoke_dir=$(mktemp -d)
+trap 'rm -rf "$smoke_dir"' EXIT
+strip_timing() {  # wall-clock and thread count are the only fields allowed to differ
+  sed -E 's/, "wall_seconds": [^,}]+//; s/, "threads": [0-9]+//' "$1"
+}
+
+echo "== artifact determinism gates (plain build) =="
+# Every sweep artifact must be byte-identical (timing stripped) across
+# --threads=1 / 4, across channel receiver-lookup modes, and across shard
+# splits merged back by sweep_merge. (fig5 and the 3x3 all-pairs sweep
+# get the same diffs under the sanitizers below.)
+export MANET_RATE_CACHE="$smoke_dir/rates" MANET_ARTIFACTS="$smoke_dir/artifacts"
+same_across_threads() {  # $1 bench, $2 tag, then sweep flags...
+  local bench=$1 tag=$2
+  shift 2
+  ./build/bench/"$bench" "$@" --threads=1 --json="$smoke_dir/${tag}_t1.json" >/dev/null
+  ./build/bench/"$bench" "$@" --threads=4 --json="$smoke_dir/${tag}_t4.json" >/dev/null
+  diff <(strip_timing "$smoke_dir/${tag}_t1.json") \
+       <(strip_timing "$smoke_dir/${tag}_t4.json") \
+    || { echo "$tag output differs across thread counts"; exit 1; }
+}
+same_across_threads fig3_cond_prob_grid fig3 --rates=10,40 --measure_time=5
+same_across_threads fig6_misdiagnosis_static fig6 --loads=0.6 \
+    --sample_sizes=10,25 --sim_time=20 --runs=2
+same_across_threads fig5d_detection_mobile fig5d --pms=50 \
+    --sample_sizes=10,25 --sim_time=40 --runs=2
+same_across_threads fig_allpairs_monitoring deg8 --grid_spacing=170 \
+    --loads=0.6 --pms=0,50 --sim_time=20 --runs=2
+# The receiver-lookup index is a lookup strategy, never a physics change:
+# the mobile sweep must match the always-exact full scan.
+./build/bench/fig5d_detection_mobile --pms=50 --sample_sizes=10,25 \
+    --sim_time=40 --runs=2 --threads=4 --channel_index=scan \
+    --json="$smoke_dir/fig5d_scan.json" >/dev/null
+diff <(strip_timing "$smoke_dir/fig5d_t1.json") \
+     <(strip_timing "$smoke_dir/fig5d_scan.json") \
+  || { echo "fig5d output differs between the index and the full scan"; exit 1; }
+# Shard splits, including more shards than cells (empty trailing ranges).
+roc_shard_flags=(--attackers=pm50,colluding,sybil,rts_flood
+                 --thresholds=0.001,0.01 --sim_time=15 --runs=2 --threads=1)
+./build/bench/fig_roc_adversaries "${roc_shard_flags[@]}" \
+    --json="$smoke_dir/roc_serial.json" >/dev/null
+for n in 2 7; do
+  for ((i = 0; i < n; ++i)); do
+    ./build/bench/fig_roc_adversaries "${roc_shard_flags[@]}" --shard="$i/$n" \
+        --columnar="$smoke_dir/roc_${i}_of_${n}.mcol" >/dev/null
+  done
+  ./build/tools/sweep_merge --json="$smoke_dir/roc_merged_$n.json" \
+      "$smoke_dir"/roc_*_of_"$n".mcol >/dev/null
+  diff <(strip_timing "$smoke_dir/roc_serial.json") \
+       <(strip_timing "$smoke_dir/roc_merged_$n.json") \
+    || { echo "ROC sweep with $n shards merges to a different artifact"; exit 1; }
+done
+unset MANET_RATE_CACHE MANET_ARTIFACTS
 
 echo "== ASan + UBSan build =="
 # A build-asan dir configured without sanitizers (e.g. a copied plain build)
@@ -26,11 +81,15 @@ if [[ -f build-asan/CMakeCache.txt ]] && \
 fi
 cmake -B build-asan -S . -DMANET_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$jobs"
-ctest --test-dir build-asan --output-on-failure -j "$jobs"
+oracle_tests='Golden|HubEquivalence|AllPipelines'
+ctest --test-dir build-asan --output-on-failure -j "$jobs" -E "$oracle_tests"
+
+echo "== result oracles (ASan + UBSan) =="
+# The golden digests and the batch-vs-reference equivalence over replayed
+# traces, as their own stage: the digests must match the plain build's.
+ctest --test-dir build-asan --output-on-failure -j "$jobs" -R "$oracle_tests"
 
 echo "== multi-threaded sweep smoke (ASan + UBSan) =="
-smoke_dir=$(mktemp -d)
-trap 'rm -rf "$smoke_dir"' EXIT
 ./build-asan/bench/fig5_detection_static \
     --loads=0.6 --pms=0,50 --sim_time=20 --runs=4 --threads=4 \
     --json="$smoke_dir/fig5.json" >/dev/null
@@ -45,9 +104,6 @@ done
 ./build-asan/bench/fig5_detection_static \
     --loads=0.6 --pms=0,50 --sim_time=20 --runs=4 --threads=1 \
     --json="$smoke_dir/fig5_serial.json" >/dev/null
-strip_timing() {  # wall-clock and thread count are the only fields allowed to differ
-  sed -E 's/, "wall_seconds": [^,}]+//; s/, "threads": [0-9]+//' "$1"
-}
 diff <(strip_timing "$smoke_dir/fig5.json") \
      <(strip_timing "$smoke_dir/fig5_serial.json") \
   || { echo "parallel sweep output differs from serial"; exit 1; }
@@ -65,29 +121,17 @@ echo "== perf smoke (ASan + UBSan) =="
     --benchmark_filter='BM_ScheduleAndPop/1024|BM_CancelChurnSteadyState' >/dev/null
 
 echo "== detection pipeline smoke (ASan + UBSan) =="
-# The batched SoA pipeline (the default) must match the per-view hub
-# pipeline and the private-per-monitor reference bit for bit on the
-# all-pairs workload, serially and across the engine's workers. (This is
-# the quick sanitized gate; bench/perf_pr8.sh is the full measurement
-# flow — degree-8 headline, all artifacts, BENCH_PR8.json.)
+# The all-pairs workload (many monitor lanes per node) must be
+# bit-identical serially and across the engine's workers. Equivalence
+# with the scalar reference monitor is the HubEquivalence ctests' job.
 ap_flags=(--loads=0.6 --pms=0,50 --sim_time=20 --runs=2)
 ./build-asan/bench/fig_allpairs_monitoring "${ap_flags[@]}" --threads=1 \
-    --monitor_impl=batch --json="$smoke_dir/ap_batch_t1.json" >/dev/null
+    --json="$smoke_dir/ap_batch_t1.json" >/dev/null
 ./build-asan/bench/fig_allpairs_monitoring "${ap_flags[@]}" --threads=4 \
-    --monitor_impl=batch --json="$smoke_dir/ap_batch_t4.json" >/dev/null
-./build-asan/bench/fig_allpairs_monitoring "${ap_flags[@]}" --threads=1 \
-    --monitor_impl=hub --json="$smoke_dir/ap_hub_t1.json" >/dev/null
-./build-asan/bench/fig_allpairs_monitoring "${ap_flags[@]}" --threads=1 \
-    --monitor_impl=reference --json="$smoke_dir/ap_ref_t1.json" >/dev/null
+    --json="$smoke_dir/ap_batch_t4.json" >/dev/null
 diff <(strip_timing "$smoke_dir/ap_batch_t1.json") \
      <(strip_timing "$smoke_dir/ap_batch_t4.json") \
   || { echo "all-pairs batch output differs across thread counts"; exit 1; }
-diff <(strip_timing "$smoke_dir/ap_batch_t1.json") \
-     <(strip_timing "$smoke_dir/ap_hub_t1.json") \
-  || { echo "all-pairs batch output differs from hub pipeline"; exit 1; }
-diff <(strip_timing "$smoke_dir/ap_batch_t1.json") \
-     <(strip_timing "$smoke_dir/ap_ref_t1.json") \
-  || { echo "all-pairs batch output differs from reference pipeline"; exit 1; }
 echo "== adversary zoo / ROC harness smoke (ASan + UBSan) =="
 # Every v2 attacker (colluding schedule, adaptive probation, sybil alias
 # plumbing, RTS flooder + gap bound) exercised under the sanitizers, and

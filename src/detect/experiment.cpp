@@ -233,15 +233,15 @@ MultiDetectionResult run_multi_detection_experiment(const MultiDetectionConfig& 
 
   // Monitors are created lazily per monitoring node: one instance per
   // (configuration, target identity) — config-major, so view ci*T+ti is
-  // configuration ci watching target ti — activated/deactivated together.
-  // Under kBatch they are facade lanes of one MonitorBatch per node; under
-  // kHub, views over one ObservationHub per node; under kReference each
-  // gets a private hub (structurally the pre-hub pipeline — the
-  // equivalence/benchmark oracle). Readout iterates `monitor_order`
-  // (creation order) so window logs are deterministic.
+  // configuration ci watching target ti — activated/deactivated together,
+  // as lanes of one MonitorBatch over the node's ObservationHub. Readout
+  // iterates `monitor_order` (creation order) so window logs are
+  // deterministic.
   struct NodeMonitors {
-    std::unique_ptr<ObservationHub> hub;    // null under kReference
-    std::unique_ptr<MonitorBatch> batch;    // null unless kBatch
+    // Member order is the destruction contract: views first, then the
+    // batch (detaching its groups), then the hub.
+    std::unique_ptr<ObservationHub> hub;
+    std::unique_ptr<MonitorBatch> batch;
     std::vector<std::unique_ptr<Monitor>> views;
   };
   std::unordered_map<NodeId, NodeMonitors> monitors;
@@ -251,18 +251,10 @@ MultiDetectionResult run_multi_detection_experiment(const MultiDetectionConfig& 
     if (it == monitors.end()) {
       NodeMonitors set;
       set.views.reserve(config.monitors.size() * targets.size());
-      if (config.pipeline != PipelineImpl::kReference) {
-        set.hub = std::make_unique<ObservationHub>(
-            net.simulator(), net.mac(node), net.timeline(node));
-      }
-      if (config.pipeline == PipelineImpl::kBatch) {
-        set.batch = std::make_unique<MonitorBatch>(*set.hub);
-      }
-      MonitorFactory factory =
-          set.batch ? MonitorFactory(*set.batch)
-          : set.hub ? MonitorFactory(*set.hub)
-                    : MonitorFactory(net.simulator(), net.mac(node),
-                                     net.timeline(node));
+      set.hub = std::make_unique<ObservationHub>(
+          net.simulator(), net.mac(node), net.timeline(node));
+      set.batch = std::make_unique<MonitorBatch>(*set.hub);
+      MonitorFactory factory(*set.batch);
       for (const MonitorConfig& mc : config.monitors) {
         factory.with_config(mc);
         for (const NodeId target : targets) {

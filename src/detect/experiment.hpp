@@ -99,7 +99,7 @@ struct DetectionResult {
   std::uint64_t flagged_statistical = 0;    // Wilcoxon rejections only
   /// Every post-warmup WindowResult, in monitor-creation then trial order
   /// (only when MultiDetectionConfig::collect_windows; equivalence tests
-  /// compare these sequences element-wise across pipeline variants).
+  /// compare these sequences element-wise with the reference oracle).
   std::vector<WindowResult> window_log;
   /// The same decision stream split per trial, in trial order (filled by
   /// the trials/sweep entry points under collect_windows). The ROC/TTD
@@ -155,15 +155,6 @@ struct MultiDetectionConfig {
   /// Incompatible with mobile_handoff (the handoff protocol assumes a
   /// single monitoring role to move around).
   bool all_pairs = false;
-  /// Which detection pipeline runs the monitor set (results are
-  /// bit-identical across all three):
-  ///  * kBatch (default) — one MonitorBatch per monitoring node: monitors
-  ///    are SoA lanes grouped by shared config over one ObservationHub.
-  ///  * kHub — every monitor is its own HubView over one shared
-  ///    ObservationHub per node (the PR 5 pipeline).
-  ///  * kReference — every monitor owns a private hub: structurally the
-  ///    pre-hub pipeline, the equivalence oracle and perf baseline.
-  PipelineImpl pipeline = PipelineImpl::kBatch;
   /// Fill DetectionResult::window_log (off by default: sweeps only need
   /// the aggregate counters).
   bool collect_windows = false;

@@ -26,26 +26,25 @@
 //     asks whether y is stochastically smaller than x by more than the
 //     permissible margin; p < alpha rejects H0 ("S is well behaved").
 //
-// Monitors are views over a per-node ObservationHub: the decoded-frame
-// ring, density estimator, and ARMA tracker live in the hub and are shared
-// by every monitor on the node whose config knobs match (see
-// observation_hub.hpp for the exact sharing rules). In the batched layout
-// (monitor_batch.hpp, the default pipeline) a Monitor is a thin facade
-// over a MonitorBatch lane; MonitorFactory picks the layout.
+// Every Monitor is one lane of a MonitorBatch (monitor_batch.hpp): the
+// batch groups the monitors on a node by shared config, evaluates each
+// decoded frame once per group over the node's ObservationHub (the
+// decoded-frame ring, density estimator, and ARMA tracker; see
+// observation_hub.hpp for the sharing rules), and keeps per-monitor test
+// state in SoA lanes. A Monitor only names its (batch, lane) pair and
+// reads the lane back; MonitorFactory's standalone mode gives a monitor a
+// private hub and a one-lane batch of its own.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "detect/observation_hub.hpp"
 #include "detect/sequential.hpp"
 #include "detect/system_state.hpp"
 #include "detect/wilcoxon.hpp"
-#include "geom/region_model.hpp"
 #include "mac/dcf.hpp"
 #include "phy/cs_timeline.hpp"
 #include "sim/simulator.hpp"
@@ -54,21 +53,6 @@
 namespace manet::detect {
 
 class MonitorBatch;  // detect/monitor_batch.hpp
-
-/// Detection pipeline layouts the harnesses can run. All three produce
-/// bit-identical results (perf_pr8.sh byte-diffs the artifacts):
-///  * kBatch — monitors are lanes of a per-node MonitorBatch: one
-///    evaluation per (node, tagged, config-group), SoA fan-out, batched
-///    statistics (monitor_batch.hpp). The default.
-///  * kHub — every monitor is its own HubView over the node's shared
-///    ObservationHub (the PR-5 pipeline).
-///  * kReference — every monitor owns a private hub: structurally the
-///    pre-hub pipeline, the equivalence oracle and perf baseline.
-enum class PipelineImpl : std::uint8_t { kReference, kHub, kBatch };
-
-/// Parse "batch" / "hub" / "reference" (throws util::ConfigError).
-PipelineImpl pipeline_from_name(const std::string& name);
-const char* pipeline_name(PipelineImpl impl);
 
 struct MonitorConfig {
   std::size_t sample_size = 10;    // Wilcoxon window (paper: 10/25/50/100)
@@ -250,29 +234,23 @@ struct MonitorStats {
 /// ordinals across sources would be meaningless.
 void accumulate_stats(MonitorStats& into, const MonitorStats& from);
 
-class Monitor : public HubView {
+class Monitor {
  public:
-  /// Attaches as a view of `hub` (the hub's node is R). `tagged` is S.
-  /// Prefer MonitorFactory, which also covers the other layouts.
-  Monitor(ObservationHub& hub, NodeId tagged, const MonitorConfig& config);
-
-  /// Batched facade: registers a lane in `batch` and delegates all state
-  /// to it. The Monitor itself never attaches to the hub (the lane's
-  /// config-group is the HubView); stats()/windows()/sample_log() read
-  /// the lane's SoA slots, so callers cannot tell the layouts apart.
+  /// Registers a lane watching `tagged` with `config` in `batch` (whose
+  /// hub's node is R; `tagged` is S). All detection state lives in the
+  /// lane. Prefer MonitorFactory, which also covers the standalone layout.
   Monitor(MonitorBatch& batch, NodeId tagged, const MonitorConfig& config);
-
-  ~Monitor() override;
+  ~Monitor();
 
   NodeId tagged() const { return tagged_; }
-  NodeId self() const { return hub_.self(); }
+  NodeId self() const { return hub().self(); }
 
   /// Suspend/resume observation. Reactivation clears the partially filled
   /// window and the exchange anchor (used when mobility hands the
-  /// monitoring role to another neighbor). Views sharing hub components
-  /// must be toggled together (see observation_hub.hpp).
+  /// monitoring role to another neighbor). Monitors of one batch sharing
+  /// a config-group must be toggled together (see monitor_batch.hpp).
   void set_active(bool active);
-  bool active() const { return active_; }
+  bool active() const;
 
   const MonitorStats& stats() const;
   const std::vector<WindowResult>& windows() const;
@@ -293,124 +271,45 @@ class Monitor : public HubView {
 
   /// Decoded-frame history currently retained by this monitor's ring
   /// (memory diagnostics; bounded by config.max_decoded_frames).
-  std::size_t decoded_retained() const { return ring_->size(); }
+  std::size_t decoded_retained() const;
 
   /// Fraction of completed windows that flagged S.
   double flag_rate() const;
 
   /// Current smoothed traffic intensity (Eq. 6).
-  double traffic_intensity() const { return arma_->filter().intensity(); }
+  double traffic_intensity() const;
 
-  /// Current system-state inputs the statistical path would use.
-  SystemStateParams current_state() const;
-
-  const ObservationHub& hub() const { return hub_; }
-
-  // HubView:
-  bool view_active() const override { return active_; }
-  void on_hub_frame(const mac::Frame& frame, SimTime start, SimTime end) override;
+  const ObservationHub& hub() const;
 
  private:
   friend class MonitorFactory;
 
-  /// Delegation target for the private-hub layout (MonitorFactory's
-  /// standalone mode and the deprecated ctor): binds to *owned, then
-  /// takes ownership.
-  Monitor(std::unique_ptr<ObservationHub> owned, NodeId tagged,
+  /// Standalone layout: owns `hub` and a one-lane batch over it.
+  Monitor(std::unique_ptr<ObservationHub> hub, NodeId tagged,
           const MonitorConfig& config);
 
-  void handle_tagged_rts(const mac::Frame& rts, SimTime start);
-  void note_exchange_end(SimTime at);
-  void add_sample(double expected, double observed, bool deterministic_violation);
-  void close_window();
-  /// Emits a sequential-detector window (threshold crossing, or the
-  /// checkpoint every sample_size samples).
-  void close_sequential(bool crossed, double score);
-  /// Appends a completed window verdict with the shared flag/first-flag
-  /// bookkeeping. `single_shot` marks the anchorless rts_gap_bound path:
-  /// its verdicts carry no window ordinal (windows_to_first_flag stays 0).
-  void record_window(const WindowResult& result, bool single_shot = false);
-  /// Unwraps the 13-bit announced offset against the last seen offset.
-  std::uint64_t unwrap_seq_off(std::uint32_t announced);
-
-  // Declared first so the hub outlives every member that references it
-  // (destroyed last; the destructor body detaches before that).
+  // Declared first so the batch (whose groups detach from the hub) is
+  // destroyed before the hub. Both are null unless standalone.
   std::unique_ptr<ObservationHub> owned_hub_;
-  ObservationHub& hub_;
-  sim::Simulator& sim_;
-  phy::CsTimeline& timeline_;
+  std::unique_ptr<MonitorBatch> owned_batch_;
+  MonitorBatch& batch_;
+  std::size_t lane_;
   NodeId tagged_;
-  MonitorConfig config_;
-
-  // Batched facade (null in the view/standalone layouts): all mutable
-  // detection state lives in the batch's lane `lane_`; the members below
-  // stay at their defaults and the accessors branch on batch_.
-  MonitorBatch* batch_ = nullptr;
-  std::size_t lane_ = 0;
-
-  mac::VerifiableBackoff tagged_prs_;
-  SystemStateModel model_;
-
-  // Hub components (shared or private per the hub's keying rules).
-  ObservationHub::FrameRing* ring_;
-  ObservationHub::IntensityTracker* arma_;
-  HeardTransmitterDensity* density_;
-
-  bool active_ = true;
-
-  // Exchange tracking for the tagged node.
-  std::optional<SimTime> anchor_;        // when S's current back-off could have started
-  /// We answered S's RTS with a CTS but have not seen the DATA yet. If the
-  /// next thing we hear from S is another RTS, we cannot tell whether S
-  /// missed our CTS (back-off began at its CTS timeout) or its DATA died
-  /// (back-off began at its ACK timeout): the anchor is ambiguous and the
-  /// sample is skipped.
-  bool own_cts_pending_ = false;
-  std::optional<std::uint64_t> last_seq_off_;  // unwrapped
-  std::optional<SimTime> last_rts_heard_;      // air start of the last RTS
-  std::optional<crypto::Md5Digest> last_digest_;
-  std::uint32_t last_attempt_ = 0;
-
-  // Current accumulating window.
-  std::vector<double> xs_;
-  std::vector<double> ys_;
-  bool window_deterministic_flag_ = false;
-
-  // Sequential-detector state (null under kWilcoxon). seq_samples_ counts
-  // samples since the last emitted window (crossing or checkpoint).
-  std::unique_ptr<SequentialTest> seq_test_;
-  std::size_t seq_samples_ = 0;
-
-  // Statistics scratch, reused across windows (close_window allocates
-  // nothing in steady state).
-  std::vector<double> shifted_;
-  WilcoxonScratch wilcoxon_scratch_;
-
-  MonitorStats stats_;
-  std::vector<WindowResult> windows_;
-  std::vector<SampleRecord> sample_log_;
 };
 
-/// Builder for monitors: one place to choose the observation layout and
-/// stamp out per-neighbor views with a shared config.
+/// Builder for monitors: one place to choose the layout and stamp out
+/// per-neighbor monitors with a shared config.
 ///
-///   * Batched mode (the default pipeline): every watch() registers a lane
-///     in the given MonitorBatch and returns a facade Monitor over it.
-///   * Shared-hub mode: every watch() attaches a view to the given
-///     ObservationHub — live or replay, the factory does not care where
-///     the hub's events come from.
-///   * Standalone mode: every watch() owns a private ObservationHub over
-///     the node's MAC/timeline — structurally the pre-hub pipeline, kept
-///     as the equivalence-test reference and perf baseline.
+///   * Batched mode: every watch() registers a lane in the given
+///     MonitorBatch (one batch per monitoring node, live or replay).
+///   * Standalone mode: every watch() gets a private ObservationHub over
+///     the node's MAC/timeline and a one-lane MonitorBatch of its own.
 class MonitorFactory {
  public:
-  /// Batched mode: facade monitors over `batch`'s SoA lanes.
+  /// Batched mode: monitors are lanes of `batch`.
   explicit MonitorFactory(MonitorBatch& batch) : batch_(&batch) {}
 
-  /// Shared-hub mode: views over `hub`.
-  explicit MonitorFactory(ObservationHub& hub) : hub_(&hub) {}
-
-  /// Standalone mode: a private hub per monitor on this node.
+  /// Standalone mode: a private hub and batch per monitor on this node.
   MonitorFactory(sim::Simulator& simulator, mac::DcfMac& monitor_mac,
                  phy::CsTimeline& timeline)
       : sim_(&simulator), mac_(&monitor_mac), timeline_(&timeline) {}
@@ -433,7 +332,6 @@ class MonitorFactory {
 
  private:
   MonitorBatch* batch_ = nullptr;
-  ObservationHub* hub_ = nullptr;
   sim::Simulator* sim_ = nullptr;
   mac::DcfMac* mac_ = nullptr;
   phy::CsTimeline* timeline_ = nullptr;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 namespace manet::detect {
 
@@ -113,21 +114,28 @@ void MonitorBatch::Group::on_hub_frame(const mac::Frame& frame, SimTime start,
     case mac::FrameType::kRts:
       if (from_tagged) {
         handle_tagged_rts(frame, start);
+        // If the exchange dies here (no CTS), S's next back-off starts at
+        // its CTS timeout; later frames of a live exchange override this.
         note_exchange_end(end + params.response_timeout(params.cts_airtime()));
       }
       break;
     case mac::FrameType::kCts:
+      // The exchange is progressing; DATA/ACK rules will provide the real
+      // end. Track our own CTS to S so a dead exchange is recognized.
       if (to_tagged && frame.transmitter == batch_.hub_.self()) {
         own_cts_pending_ = true;
       }
       break;
     case mac::FrameType::kData:
       if (from_tagged) {
+        // DATA's duration field covers SIFS + ACK: the exchange ends then,
+        // whether or not we can hear the ACK ourselves.
         own_cts_pending_ = false;
         note_exchange_end(end + frame.duration);
       }
       break;
     case mac::FrameType::kAck:
+      // Our own (or an overheard) ACK to S: exact exchange end.
       if (to_tagged) note_exchange_end(end);
       break;
   }
@@ -137,17 +145,19 @@ std::uint64_t MonitorBatch::Group::unwrap_seq_off(std::uint32_t announced) {
   const std::uint64_t modulo = batch_.hub_.params().seq_off_modulo;
   if (!last_seq_off_) return announced;
   const std::uint64_t base = *last_seq_off_;
+  // Choose the smallest value >= base whose residue matches `announced`
+  // (offsets only move forward).
   const std::uint64_t base_res = base % modulo;
   std::uint64_t candidate = base - base_res + announced;
   if (candidate < base) candidate += modulo;
   return candidate;
 }
 
-// One evaluation of Monitor::handle_tagged_rts for the whole group. Every
-// statement mirrors the scalar implementation (monitor.cpp) exactly —
-// same arithmetic, same branch structure — with stats_ increments turned
-// into RtsOutcome deltas and the final add_sample turned into the fanned
-// outcome. Keep the two in sync.
+// One evaluation of a tagged RTS for the whole group: the deterministic
+// checks, the window accounting, and the sample, as RtsOutcome counter
+// deltas plus the CW-normalized sample that apply_outcome fans out to the
+// lanes. The scalar per-monitor form of the same logic is the test tree's
+// oracle (tests/reference_monitor.cpp).
 void MonitorBatch::Group::handle_tagged_rts(const mac::Frame& rts,
                                             SimTime start) {
   RtsOutcome o;
@@ -159,10 +169,18 @@ void MonitorBatch::Group::handle_tagged_rts(const mac::Frame& rts,
 
   const std::uint64_t seq = unwrap_seq_off(rts.seq_off);
   if (config_.deterministic_checks && config_.prs_aware && last_seq_off_) {
+    // SeqOff continuity: an honest stream advances by exactly one per RTS.
     if (seq <= *last_seq_off_) {
+      // Replayed / non-advancing offset: blatant violation.
       ++o.seq_off_violations;
       deterministic_violation = true;
     } else if (const std::uint64_t gap = seq - *last_seq_off_ - 1; gap > 0) {
+      // Offsets were consumed that we never decoded. A bounded gap — or
+      // any gap across a recorded outage of our own radio — is lossy
+      // observation, not evidence: resynchronize the PRS position and
+      // write off the missed frames. Beyond the bound (with no outage to
+      // blame) the sender is skipping ahead in its PRS, which only pays
+      // off when cherry-picking small dictated values.
       const bool outage_spanned =
           last_rts_heard_ && timeline.outage_time(*last_rts_heard_, start) > 0;
       if (gap <= config_.max_seq_off_gap || outage_spanned) {
@@ -176,6 +194,10 @@ void MonitorBatch::Group::handle_tagged_rts(const mac::Frame& rts,
     }
   }
   if (config_.deterministic_checks && config_.prs_aware) {
+    // Attempt/MD honesty: a retransmission of the same payload must
+    // increment the attempt number. Digest equality proves it is the same
+    // payload even across a gap; corrupted frames never get here (their
+    // FCS fails at the PHY), so a mangled digest cannot frame the sender.
     if (last_digest_ && rts.data_digest == *last_digest_ &&
         rts.attempt <= last_attempt_) {
       ++o.attempt_violations;
@@ -183,8 +205,10 @@ void MonitorBatch::Group::handle_tagged_rts(const mac::Frame& rts,
     }
   }
 
+  // Expected (dictated) back-off for the announced offset and attempt.
   const double expected = prs_.dictated_slots(seq, rts.attempt);
 
+  // Bookkeeping for the next RTS (previous values feed the retry check).
   const std::optional<crypto::Md5Digest> prev_digest = last_digest_;
   const std::uint32_t prev_attempt = last_attempt_;
   const std::optional<SimTime> prev_rts_heard = last_rts_heard_;
@@ -193,12 +217,20 @@ void MonitorBatch::Group::handle_tagged_rts(const mac::Frame& rts,
   last_digest_ = rts.data_digest;
   last_attempt_ = rts.attempt;
 
+  // Ambiguous anchor: we answered S's previous RTS with a CTS but never
+  // saw the DATA — S's back-off start depends on which frame was lost.
   const bool ambiguous_anchor = own_cts_pending_;
   own_cts_pending_ = false;
 
   if (!anchor_ || *anchor_ >= start || ambiguous_anchor) {
     if (config_.rts_gap_bound && config_.deterministic_checks &&
         config_.prs_aware && prev_rts_heard) {
+      // No anchor, but physics still bounds the countdown: even if S
+      // started its back-off the instant its previous RTS left the air and
+      // every slot since was idle, at most (gap - DIFS) / slot slots fit.
+      // An RTS flood ignores back-off entirely, so its dictated values
+      // routinely exceed the bound; honest senders never do (their real
+      // elapsed time includes the dictated countdown plus timeouts).
       const SimTime prev_end = *prev_rts_heard + params.rts_airtime();
       const SimDuration gap = start > prev_end ? start - prev_end : 0;
       const double max_slots =
@@ -207,6 +239,8 @@ void MonitorBatch::Group::handle_tagged_rts(const mac::Frame& rts,
                     static_cast<double>(params.slot_time)
               : 0.0;
       if (expected > max_slots + 1.0) {
+        // There may never be samples to latch this onto (a pure flood
+        // completes no exchanges): every lane emits the verdict at once.
         ++o.impossible_backoff;
         o.single_shot = true;
       }
@@ -221,6 +255,11 @@ void MonitorBatch::Group::handle_tagged_rts(const mac::Frame& rts,
   const SimDuration window = start - window_start;
 
   if (resynced) {
+    // The anchor predates exchanges we never decoded, so the window spans
+    // S's unseen transmissions: as a sample it is biased high and must be
+    // discarded. The impossible-back-off lower bound survives the bias —
+    // the whole window still caps how many slots S could have counted for
+    // the current attempt, missed frames included.
     if (config_.deterministic_checks && config_.prs_aware) {
       const double max_slots = static_cast<double>(window - params.difs) /
                                static_cast<double>(params.slot_time);
@@ -243,6 +282,9 @@ void MonitorBatch::Group::handle_tagged_rts(const mac::Frame& rts,
     return;
   }
 
+  // A window overlapping an outage of our own radio measures deafness,
+  // not back-off (the timeline records silence we did not actually
+  // observe): discard it before any countdown accounting.
   if (timeline.outage_time(window_start, start) > 0) {
     ++o.windows_discarded_impaired;
     o.deterministic_violation = deterministic_violation;
@@ -250,6 +292,8 @@ void MonitorBatch::Group::handle_tagged_rts(const mac::Frame& rts,
     return;
   }
 
+  // Impossible-back-off check: even if S had counted every slot of the
+  // window (minus one DIFS), the dictated value would not have finished.
   if (config_.deterministic_checks && config_.prs_aware) {
     const double max_slots = static_cast<double>(window - params.difs) /
                              static_cast<double>(params.slot_time);
@@ -259,6 +303,9 @@ void MonitorBatch::Group::handle_tagged_rts(const mac::Frame& rts,
     }
   }
 
+  // Translate our own view of the window into S's estimated countdown.
+  // The hub's frame ring does the three-way split (memoized across the
+  // node's groups): certainly blocked / anonymous busy / free idle.
   const WindowAccounting& acct =
       ring_->window_accounting(window_start, start, key_.tagged);
 
@@ -275,6 +322,11 @@ void MonitorBatch::Group::handle_tagged_rts(const mac::Frame& rts,
       idle_weight * idle_slots +
       config_.busy_credit_factor * probs.p_idle_given_busy * busy_slots;
 
+  // Clean-window acceptance: only windows that plausibly contain no
+  // queue-empty gap are comparable back-off samples (see MonitorConfig).
+  // A retry is *proven* clean only when we decoded the immediately
+  // preceding attempt of the same payload; otherwise the anchor may span a
+  // missed transmission and the window gets the same plausibility test.
   const bool proven_retry = prev_digest && rts.data_digest == *prev_digest &&
                             rts.attempt == prev_attempt + 1;
   bool accepted = true;
@@ -302,6 +354,10 @@ void MonitorBatch::Group::handle_tagged_rts(const mac::Frame& rts,
     return;
   }
 
+  // Samples are normalized by their contention window so first attempts
+  // (CW 31) and deep retries (CW up to 1023) form one homogeneous
+  // population: under H0 the normalized dictated value is uniform on
+  // [0, 1) regardless of attempt.
   const double norm =
       static_cast<double>(params.cw_for_attempt(rts.attempt)) + 1.0;
   o.has_sample = true;
@@ -314,6 +370,9 @@ void MonitorBatch::Group::handle_tagged_rts(const mac::Frame& rts,
 // --- Lane management ---------------------------------------------------------
 
 std::size_t MonitorBatch::add_lane(NodeId tagged, const MonitorConfig& config) {
+  if (config.sample_size == 0) {
+    throw std::invalid_argument("monitor sample_size must be at least 1");
+  }
   Group& group = group_for(tagged, config);
   const std::size_t lane = lane_stats_.size();
 
@@ -359,7 +418,7 @@ void MonitorBatch::set_lane_active(std::size_t lane, bool active) {
     return;
   }
   ++group.active_lanes_;
-  // Fresh start (Monitor::set_active): discard the partial window, the
+  // Fresh start: discard the partial window, the
   // detector state, and the group's exchange anchor. The group-level
   // reset is idempotent across the lanes of one group — the harness
   // toggles them together with no frames in between.
@@ -379,10 +438,6 @@ ObservationHub::FrameRing& MonitorBatch::lane_ring(std::size_t lane) const {
 ObservationHub::IntensityTracker& MonitorBatch::lane_tracker(
     std::size_t lane) const {
   return *lane_group_[lane]->arma_;
-}
-
-HeardTransmitterDensity& MonitorBatch::lane_density(std::size_t lane) const {
-  return *lane_group_[lane]->density_;
 }
 
 // --- Fan-out + batched window close ------------------------------------------
@@ -417,7 +472,9 @@ void MonitorBatch::apply_outcome(Group& group, const RtsOutcome& o) {
     if (o.has_sample) {
       double expected = o.expected_norm;
       if (!group.config_.prs_aware) {
-        // Baseline quantiles are a per-lane quantity: the position in the
+        // Baseline: no dictated values — compare against evenly spaced
+        // uniform quantiles, the protocol's marginal back-off
+        // distribution. The quantiles are per lane: the position in the
         // lane's window (samples % sample_size) differs across lanes.
         const double k = static_cast<double>(st.samples % lane_sample_size_[lane]);
         expected = (k + 0.5) / static_cast<double>(lane_sample_size_[lane]);
@@ -435,6 +492,9 @@ void MonitorBatch::add_sample(std::size_t lane, double expected,
 
   const std::size_t slot = lane_seq_slot_[lane];
   if (slot != kNoSeqSlot) {
+    // Sequential path: the running score absorbs the sample immediately;
+    // the margin shift makes an honest deficit negative on average, the
+    // same H0 the Wilcoxon path tests.
     const double deficit = expected - observed - lane_margin_[lane];
     const SequentialBank::Step step = seq_bank_.update(slot, deficit);
     ++lane_seq_samples_[lane];
@@ -442,6 +502,9 @@ void MonitorBatch::add_sample(std::size_t lane, double expected,
       close_sequential(lane, /*crossed=*/true, step.score);
       seq_bank_.reset(slot);
     } else if (lane_seq_samples_[lane] >= lane_sample_size_[lane]) {
+      // Checkpoint: an unflagged window carrying the current score, so
+      // honest runs still produce ROC denominators and latched
+      // deterministic flags surface no later than under Wilcoxon.
       close_sequential(lane, /*crossed=*/false, step.score);
     }
     return;
@@ -476,6 +539,9 @@ void MonitorBatch::close_due_windows() {
     const std::size_t n = lane_fill_[lane];
     item.x = std::span<const double>(xs_arena_.data() + offset, n);
     item.y = std::span<const double>(ys_arena_.data() + offset, n);
+    // The observed sample is shifted up by the permissible margin before
+    // the one-sided test: only a deficit beyond the margin (a plain
+    // fraction of the CW-normalized samples) counts as evidence.
     item.shift = lane_margin_[lane];
     item.options = lane_wilcoxon_[lane];
     batch_items_.push_back(item);
@@ -505,6 +571,9 @@ void MonitorBatch::record_window(std::size_t lane, const WindowResult& result,
     ++st.flagged_windows;
     if (st.first_flag_time == kTimeNever) {
       st.first_flag_time = result.at;
+      // A single-shot rts_gap_bound verdict closes no sample window: its
+      // position in the window sequence is an artifact of when unrelated
+      // traffic anchored, so it gets no ordinal (stays 0; see report.hpp).
       st.windows_to_first_flag = single_shot ? 0 : st.windows;
     }
   }

@@ -1,14 +1,15 @@
-// Batched struct-of-arrays detection core — one pass per node.
+// Batched struct-of-arrays detection core — one pass per node. This is
+// the only detection pipeline: every Monitor (monitor.hpp) is a lane here.
 //
-// The per-view pipeline (Monitor as a HubView) re-derives, for every
-// monitor on a node, quantities that depend only on the node's shared
-// observation state: the RTS deterministic checks, the window's
-// CsTimeline/ring accounting, the SystemStateModel Eq. 1-5 conditional
-// probabilities, and the density/ARMA inputs. With M configurations
-// watching T tagged identities that is M*T near-identical passes per
-// decoded frame.
+// The monitors on one node consume the same observation state (the
+// node's ObservationHub), and most of a monitor's per-frame work depends
+// only on that state and a handful of config knobs: the RTS deterministic
+// checks, the window's CsTimeline/ring accounting, the SystemStateModel
+// Eq. 1-5 conditional probabilities, and the density/ARMA inputs. With M
+// configurations watching T tagged identities, evaluating that per
+// monitor would be M*T near-identical passes per decoded frame.
 //
-// MonitorBatch restructures this into batch-at-a-time:
+// MonitorBatch evaluates it batch-at-a-time instead:
 //
 //  * Monitors sharing every *evaluation-relevant* config field (everything
 //    except the per-lane test knobs: sample_size, alpha, margin_fraction,
@@ -30,12 +31,14 @@
 //
 // Equivalence contract: every per-lane output stream (WindowResult
 // sequence, MonitorStats, sample log) is bit-identical to the same
-// monitor running as its own HubView or with a private hub
-// (tests/hub_test.cpp sweeps seeds and scenarios over all three
-// pipelines). The same caveat as hub component sharing applies: lanes of
-// one group must be activated/deactivated together (the experiment
-// harness always toggles a node's monitor set as a unit); diverging
-// activity within a group is unsupported.
+// monitor evaluated on its own as a scalar HubView over a private hub.
+// That per-view pipeline lives in the test tree (tests/reference_monitor.*)
+// as the oracle; tests/hub_test.cpp replays recorded traces into it across
+// seeds and scenarios and compares with the live batched run. The same
+// caveat as hub component sharing applies: lanes of one group must be
+// activated/deactivated together (the experiment harness always toggles a
+// node's monitor set as a unit); diverging activity within a group is
+// unsupported.
 #pragma once
 
 #include <cstddef>
@@ -65,6 +68,8 @@ class MonitorBatch {
   /// its lane index. The lane joins an existing config-group when every
   /// shared field matches (and the group was created at the same sim
   /// time); otherwise a new group attaches to the hub. Lanes start active.
+  /// Throws std::invalid_argument when config.sample_size is 0 (a window
+  /// that can never fill, and a zero-width sample slice).
   std::size_t add_lane(NodeId tagged, const MonitorConfig& config);
 
   /// Suspend/resume one lane (Monitor::set_active semantics: reactivation
@@ -84,10 +89,9 @@ class MonitorBatch {
   }
 
   /// The hub components backing a lane's group (facade accessors for
-  /// Monitor::decoded_retained / traffic_intensity / current_state).
+  /// Monitor::decoded_retained / traffic_intensity).
   ObservationHub::FrameRing& lane_ring(std::size_t lane) const;
   ObservationHub::IntensityTracker& lane_tracker(std::size_t lane) const;
-  HeardTransmitterDensity& lane_density(std::size_t lane) const;
 
   // Sharing diagnostics (tests assert the grouping rules).
   std::size_t lane_count() const { return lane_stats_.size(); }
@@ -170,9 +174,9 @@ class MonitorBatch {
     void note_exchange_end(SimTime at) { anchor_ = at; }
     std::uint64_t unwrap_seq_off(std::uint32_t announced);
     SystemStateParams current_state() const;
-    /// Monitor::set_active's reactivation reset of the exchange tracking
-    /// (idempotent: the harness toggles a group's lanes back-to-back with
-    /// no frames in between).
+    /// The reactivation reset of the exchange tracking (idempotent: the
+    /// harness toggles a group's lanes back-to-back with no frames in
+    /// between).
     void reset_exchange();
 
     MonitorBatch& batch_;
@@ -188,11 +192,17 @@ class MonitorBatch {
     ObservationHub::IntensityTracker* arma_;
     HeardTransmitterDensity* density_;
 
-    // Exchange tracking (see Monitor for field semantics).
+    // Exchange tracking for the tagged node.
+    /// When S's current back-off could have started.
     std::optional<SimTime> anchor_;
+    /// We answered S's RTS with a CTS but have not seen the DATA yet. If
+    /// the next thing we hear from S is another RTS, we cannot tell
+    /// whether S missed our CTS (back-off began at its CTS timeout) or its
+    /// DATA died (back-off began at its ACK timeout): the anchor is
+    /// ambiguous and the sample is skipped.
     bool own_cts_pending_ = false;
-    std::optional<std::uint64_t> last_seq_off_;
-    std::optional<SimTime> last_rts_heard_;
+    std::optional<std::uint64_t> last_seq_off_;  // unwrapped
+    std::optional<SimTime> last_rts_heard_;      // air start of the last RTS
     std::optional<crypto::Md5Digest> last_digest_;
     std::uint32_t last_attempt_ = 0;
 

@@ -8,9 +8,10 @@
 // all-pairs workload's per-neighbor sets) stored the decoded-frame history
 // N times and pushed/pruned/estimated N times per frame.
 //
-// The ObservationHub owns those components once per node; Monitor becomes
-// a thin per-tagged-neighbor view (a HubView) that borrows them. Sharing
-// is transparent and exact:
+// The ObservationHub owns those components once per node; its consumers
+// are HubViews that borrow them — in production, the config-groups of the
+// node's MonitorBatch (monitor_batch.hpp). Sharing is transparent and
+// exact:
 //
 //  * Components are keyed by the config knobs that shape their contents
 //    (frame ring: retention + cap; ARMA: alpha + batch size; density:
@@ -89,7 +90,8 @@ struct WindowAccounting {
   SimDuration countable_idle = 0;
 };
 
-/// A consumer attached to an ObservationHub (Monitor implements this).
+/// A consumer attached to an ObservationHub (MonitorBatch's config-groups
+/// implement this).
 class HubView {
  public:
   virtual ~HubView() = default;

@@ -1,16 +1,10 @@
 #include "detect/replay.hpp"
 
-#include <stdexcept>
-
 namespace manet::detect {
 
 ReplaySession::ReplaySession(const TraceHeader& header,
-                             const std::vector<MonitorConfig>& monitors,
-                             PipelineImpl impl)
+                             const std::vector<MonitorConfig>& monitors)
     : header_(header) {
-  if (impl == PipelineImpl::kReference) {
-    throw std::invalid_argument("replay supports hub and batch pipelines only");
-  }
   // World reconstruction order matters: the timeline must hold the
   // pre-attach carrier history and the clock must sit at the recording
   // start BEFORE the hub exists, so component attach times (and the ARMA
@@ -19,10 +13,8 @@ ReplaySession::ReplaySession(const TraceHeader& header,
   sim_.run_until(header_.start_time);
   hub_ = std::make_unique<ObservationHub>(sim_, header_.node, header_.params,
                                           timeline_);
-  if (impl == PipelineImpl::kBatch) {
-    batch_ = std::make_unique<MonitorBatch>(*hub_);
-  }
-  MonitorFactory factory = batch_ ? MonitorFactory(*batch_) : MonitorFactory(*hub_);
+  batch_ = std::make_unique<MonitorBatch>(*hub_);
+  MonitorFactory factory(*batch_);
   views_.reserve(monitors.size() * header_.targets.size());
   for (const MonitorConfig& mc : monitors) {
     for (const NodeId target : header_.targets) {

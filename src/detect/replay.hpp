@@ -28,17 +28,12 @@
 namespace manet::detect {
 
 /// One monitoring node's offline detection run: hub, timeline, and the
-/// monitor views (config-major, then target order — exactly the live
-/// harness's creation order). `impl` picks the hub-backed pipeline:
-/// kBatch (default) lanes the monitors through one MonitorBatch, kHub
-/// attaches each as its own HubView; kReference (private hub per monitor)
-/// has no replay form — the session IS the one reconstructed hub — and
-/// throws std::invalid_argument.
+/// monitors as lanes of one MonitorBatch (config-major, then target order
+/// — exactly the live harness's creation order).
 class ReplaySession {
  public:
   ReplaySession(const TraceHeader& header,
-                const std::vector<MonitorConfig>& monitors,
-                PipelineImpl impl = PipelineImpl::kBatch);
+                const std::vector<MonitorConfig>& monitors);
 
   /// Drains `source` through the hub. kActivity markers toggle every view
   /// (the recorded handoff suspends/resumes); other markers only advance
@@ -57,7 +52,7 @@ class ReplaySession {
   // Declaration order is destruction contract: views (facades) first,
   // then the batch (detaching its groups), then the hub.
   std::unique_ptr<ObservationHub> hub_;
-  std::unique_ptr<MonitorBatch> batch_;  // null under kHub
+  std::unique_ptr<MonitorBatch> batch_;
   std::vector<std::unique_ptr<Monitor>> views_;
 };
 

@@ -11,7 +11,7 @@
 // so (a) any cell's results are bit-identical no matter which shard (or
 // thread) computes it, and (b) concatenating the N shard artifacts in
 // shard order reproduces the serial single-process artifact exactly —
-// the property tools/sweep_merge validates and bench/perf_pr10.sh
+// the property tools/sweep_merge validates and scripts/check.sh
 // enforces byte-for-byte. N may exceed the cell count; trailing shards
 // simply own empty ranges.
 #pragma once

@@ -1,6 +1,7 @@
 #include "util/config.hpp"
 
 #include <sstream>
+#include <stdexcept>
 
 namespace manet::util {
 
@@ -49,6 +50,8 @@ long long Config::get_int(const std::string& key) const {
     return i;
   } catch (const std::invalid_argument&) {
     throw ConfigError("not an int: " + key + "=" + v);
+  } catch (const std::out_of_range&) {
+    throw ConfigError("int out of range: " + key + "=" + v);
   }
 }
 

@@ -253,5 +253,40 @@ TEST(ParseDoubleList, RejectsMalformedTokensWithConfigError) {
   EXPECT_THROW(bench::parse_double_list("0.5junk"), util::ConfigError);
 }
 
+/// FlagSet::parse over "prog" plus `args`.
+bool parse_flags(bench::FlagSet& flags, std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return flags.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(FlagSet, CountFlagsRejectZeroNegativeAndFractionalSizes) {
+  // Regression: --sample_size=0 crashed the benches (division by zero and
+  // an out-of-bounds sample slot), --sample_size=-1 aborted on an
+  // uncaught std::length_error.
+  for (const char* bad : {"0", "-1", "2.5", "x", "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    bench::FlagSet flags("test");
+    flags.add_count("sample_size", 10, "window");
+    EXPECT_THROW(parse_flags(flags, {std::string("--sample_size=") + bad}),
+                 util::ConfigError);
+  }
+  for (const char* bad : {"0", "-1", "2.5", "10,0", "10,2.5", "1e30"}) {
+    SCOPED_TRACE(bad);
+    bench::FlagSet flags("test");
+    flags.add_count_list("sample_sizes", "10,25", "windows");
+    EXPECT_THROW(parse_flags(flags, {std::string("--sample_sizes=") + bad}),
+                 util::ConfigError);
+  }
+
+  bench::FlagSet flags("test");
+  flags.add_count("sample_size", 10, "window");
+  flags.add_count_list("sample_sizes", "10,25", "windows");
+  EXPECT_FALSE(parse_flags(flags, {"--sample_size=1", "--sample_sizes=1,100"}));
+  EXPECT_EQ(flags.get_int("sample_size"), 1);
+  EXPECT_EQ(flags.get_double_list("sample_sizes"), (std::vector<double>{1, 100}));
+}
+
 }  // namespace
 }  // namespace manet::exp

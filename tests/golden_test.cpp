@@ -1,10 +1,12 @@
 // Golden digests of the detection results.
 //
-// Each case runs one short run_multi_detection_experiment with trace
+// Each detection case runs one short run_multi_detection_experiment with trace
 // recording on, replays the recorded traces through replay_detection, and
 // hashes (MD5) a canonical text rendering of both results: every
 // per-config counter, the aggregated MonitorStats, and every post-warmup
 // WindowResult (p-values as hex floats, so the digest is bit-exact).
+// CondProbFig3 pins the fig3 conditional-probability measurement the same
+// way.
 //
 // The digests pin the detection pipeline's output, not its structure: a
 // refactor of the monitor, the hub, the batch lanes, the statistics, or
@@ -200,6 +202,31 @@ TEST(Golden, SequentialDetectors) {
   cfg.monitors = {small_monitor(10), cusum, sprt};
   EXPECT_EQ(golden_digest(cfg),
             "cb5a735b7b829e85ee26b4040880a884");
+}
+
+TEST(Golden, CondProbFig3) {
+  // The fig3 measurement (no monitors): the channel, MAC, and joint
+  // busy/idle tracking under Poisson grid traffic at two rates.
+  std::string out;
+  for (double rate : {10.0, 40.0}) {
+    CondProbConfig cfg;
+    cfg.scenario.seed = 1;
+    cfg.rate_pps = rate;
+    cfg.warmup_s = 3.0;
+    cfg.measure_s = 10.0;
+    cfg.monitor.fixed_n = cfg.monitor.fixed_k = 5.0;
+    cfg.monitor.fixed_m = cfg.monitor.fixed_j = 5.0;
+    cfg.monitor.fixed_contenders = 20.0;
+    const CondProbResult r = run_cond_prob_experiment(cfg);
+    append_double(out, "rho", r.measured_rho);
+    append_double(out, "sim_bi", r.sim_p_busy_given_idle);
+    append_double(out, "sim_ib", r.sim_p_idle_given_busy);
+    append_double(out, "ana_bi", r.ana_p_busy_given_idle);
+    append_double(out, "ana_ib", r.ana_p_idle_given_busy);
+    out += '\n';
+  }
+  EXPECT_EQ(crypto::to_hex(crypto::Md5::hash(out)),
+            "6fe8630c1e4f2294498383a173676898");
 }
 
 }  // namespace

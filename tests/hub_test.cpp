@@ -1,12 +1,13 @@
 // Equivalence and sharing tests for the per-node ObservationHub
 // (src/detect/observation_hub.*) and the batched SoA pipeline
-// (src/detect/monitor_batch.*). Both are pure refactors plus
-// memoization: a monitor set running as batch lanes or as shared-hub
-// views must produce WindowResult sequences and MonitorStats
-// bit-identical to private per-monitor state
-// (MultiDetectionConfig::pipeline = kReference, structurally the pre-hub
-// pipeline), across static, mobile-handoff, lossy, all-pairs, and
-// sybil multi-identity scenarios and across seeds.
+// (src/detect/monitor_batch.*), the only detection pipeline. The oracle is
+// the scalar per-view monitor kept in the test tree
+// (tests/reference_monitor.*): every scenario runs live through the batch
+// with trace recording on, the recorded traces are replayed into
+// reference monitors that each own a private hub, and the WindowResult
+// sequences and MonitorStats must match bit for bit — across static,
+// mobile-handoff, lossy, all-pairs, and sybil multi-identity scenarios
+// and across seeds.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,8 +18,10 @@
 #include "detect/monitor.hpp"
 #include "detect/monitor_batch.hpp"
 #include "detect/observation_hub.hpp"
+#include "detect/trace.hpp"
 #include "mac/dcf.hpp"
 #include "phy/channel.hpp"
+#include "reference_monitor.hpp"
 #include "sim/simulator.hpp"
 
 namespace manet::detect {
@@ -52,40 +55,37 @@ MultiDetectionConfig base_config(double seconds, std::uint64_t seed) {
   return cfg;
 }
 
+/// Compares everything but measured_rho, which only the live run has.
 void expect_identical_results(const MultiDetectionResult& got,
-                              const MultiDetectionResult& ref,
-                              const char* impl) {
-  EXPECT_EQ(got.measured_rho, ref.measured_rho) << impl;
-  EXPECT_EQ(got.handoffs, ref.handoffs) << impl;
-  EXPECT_EQ(got.monitor_nodes, ref.monitor_nodes) << impl;
-  ASSERT_EQ(got.per_config.size(), ref.per_config.size()) << impl;
+                              const MultiDetectionResult& ref) {
+  EXPECT_EQ(got.handoffs, ref.handoffs);
+  EXPECT_EQ(got.monitor_nodes, ref.monitor_nodes);
+  ASSERT_EQ(got.per_config.size(), ref.per_config.size());
   for (std::size_t i = 0; i < got.per_config.size(); ++i) {
     const auto& g = got.per_config[i];
     const auto& r = ref.per_config[i];
-    EXPECT_EQ(g.windows, r.windows) << impl << " config " << i;
-    EXPECT_EQ(g.flagged, r.flagged) << impl << " config " << i;
-    EXPECT_EQ(g.flagged_statistical, r.flagged_statistical)
-        << impl << " config " << i;
-    EXPECT_EQ(g.stats, r.stats) << impl << " config " << i;
-    ASSERT_EQ(g.window_log.size(), r.window_log.size()) << impl << " config " << i;
+    EXPECT_EQ(g.windows, r.windows) << "config " << i;
+    EXPECT_EQ(g.flagged, r.flagged) << "config " << i;
+    EXPECT_EQ(g.flagged_statistical, r.flagged_statistical) << "config " << i;
+    EXPECT_EQ(g.stats, r.stats) << "config " << i;
+    ASSERT_EQ(g.window_log.size(), r.window_log.size()) << "config " << i;
     for (std::size_t w = 0; w < g.window_log.size(); ++w) {
       EXPECT_EQ(g.window_log[w], r.window_log[w])
-          << impl << " config " << i << " window " << w;
+          << "config " << i << " window " << w;
     }
   }
 }
 
-/// Runs `cfg` under all three pipelines (batch lanes, per-monitor hub
-/// views, private per-monitor hubs) and asserts every deterministic
-/// output matches the reference exactly.
+/// Runs `cfg` live (batch lanes, traces recorded), replays the traces
+/// into reference monitors with private hubs, and asserts every
+/// deterministic output matches exactly.
 void expect_hub_matches_reference(MultiDetectionConfig cfg) {
+  TraceRecorder recorder;
   cfg.collect_windows = true;
-  cfg.pipeline = PipelineImpl::kReference;
-  const auto ref = run_multi_detection_experiment(cfg);
-  cfg.pipeline = PipelineImpl::kHub;
-  expect_identical_results(run_multi_detection_experiment(cfg), ref, "hub");
-  cfg.pipeline = PipelineImpl::kBatch;
-  expect_identical_results(run_multi_detection_experiment(cfg), ref, "batch");
+  cfg.trace = &recorder;
+  const auto live = run_multi_detection_experiment(cfg);
+  expect_identical_results(
+      live, reference_replay(recorder, cfg.monitors, cfg.warmup_s));
 }
 
 TEST(HubEquivalence, StaticGridBitIdenticalAcrossSeeds) {
@@ -123,7 +123,6 @@ TEST(HubEquivalence, AllPairsBitIdenticalAndCountsNodes) {
   cfg.all_pairs = true;
   expect_hub_matches_reference(cfg);
 
-  cfg.pipeline = PipelineImpl::kBatch;
   const auto result = run_multi_detection_experiment(cfg);
   // The 3x4 grid center has in-range orthogonal neighbors on all sides.
   EXPECT_GE(result.monitor_nodes, 3u);
@@ -132,8 +131,8 @@ TEST(HubEquivalence, AllPairsBitIdenticalAndCountsNodes) {
 
 TEST(HubEquivalence, SybilMultiIdentityBitIdentical) {
   // Sybil attackers spread violations across fake identities, so the
-  // harness monitors several targets per node — under kBatch each target
-  // is its own config-group; the fan-out bookkeeping must not leak
+  // harness monitors several targets per node — each target is its own
+  // config-group; the fan-out bookkeeping must not leak
   // between identities.
   MultiDetectionConfig cfg = base_config(30, 29);
   cfg.pm = 0;
@@ -144,7 +143,7 @@ TEST(HubEquivalence, SybilMultiIdentityBitIdentical) {
 
 TEST(HubEquivalence, SequentialDetectorsBitIdentical) {
   // CUSUM/SPRT lanes run through the batched SequentialBank; their Step
-  // streams must match the per-monitor CusumTest/SprtTest bit for bit.
+  // streams must match the reference's CusumTest/SprtTest bit for bit.
   MultiDetectionConfig cfg = base_config(30, 53);
   MonitorConfig cusum = small_monitor(10);
   cusum.detector = DetectorKind::kCusum;
@@ -162,6 +161,9 @@ TEST(Hub, AllPairsRejectsMobileHandoff) {
 }
 
 // --- Component sharing on a bare hub ----------------------------------------
+//
+// Reference monitors are one HubView each, so they exercise the hub's
+// per-view component keying directly.
 
 struct FixedPositions : phy::PositionProvider {
   explicit FixedPositions(std::vector<geom::Vec2> p) : pos(std::move(p)) {}
@@ -195,8 +197,8 @@ struct HubFixture {
 TEST(Hub, ViewsWithEqualKnobsShareComponents) {
   HubFixture f;
   MonitorConfig cfg = small_monitor();
-  Monitor a(f.hub, 0, cfg);
-  Monitor b(f.hub, 0, cfg);
+  ReferenceMonitor a(f.hub, 0, cfg);
+  ReferenceMonitor b(f.hub, 0, cfg);
   EXPECT_EQ(f.hub.view_count(), 2u);
   EXPECT_EQ(f.hub.ring_count(), 1u);
   EXPECT_EQ(f.hub.tracker_count(), 1u);
@@ -205,19 +207,19 @@ TEST(Hub, ViewsWithEqualKnobsShareComponents) {
 
 TEST(Hub, DifferentKnobsGetPrivateComponents) {
   HubFixture f;
-  Monitor a(f.hub, 0, small_monitor());
+  ReferenceMonitor a(f.hub, 0, small_monitor());
 
   MonitorConfig ring_cfg = small_monitor();
   ring_cfg.decoded_retention = 2 * kSecond;
-  Monitor b(f.hub, 0, ring_cfg);
+  ReferenceMonitor b(f.hub, 0, ring_cfg);
 
   MonitorConfig arma_cfg = small_monitor();
   arma_cfg.arma_alpha = 0.5;
-  Monitor c(f.hub, 0, arma_cfg);
+  ReferenceMonitor c(f.hub, 0, arma_cfg);
 
   MonitorConfig density_cfg = small_monitor();
   density_cfg.density_window = 10 * kSecond;
-  Monitor d(f.hub, 0, density_cfg);
+  ReferenceMonitor d(f.hub, 0, density_cfg);
 
   EXPECT_EQ(f.hub.view_count(), 4u);
   EXPECT_EQ(f.hub.ring_count(), 2u);     // a+c+d share; b private
@@ -230,9 +232,9 @@ TEST(Hub, LaterAttachTimeGetsFreshComponents) {
   // ring/ARMA/density history (pre-refactor monitors started empty).
   HubFixture f;
   MonitorConfig cfg = small_monitor();
-  auto a = std::make_unique<Monitor>(f.hub, 0, cfg);
+  auto a = std::make_unique<ReferenceMonitor>(f.hub, 0, cfg);
   f.sim.run_until(1 * kSecond);
-  Monitor b(f.hub, 0, cfg);
+  ReferenceMonitor b(f.hub, 0, cfg);
   EXPECT_EQ(f.hub.ring_count(), 2u);
   EXPECT_EQ(f.hub.tracker_count(), 2u);
   EXPECT_EQ(f.hub.density_count(), 2u);
@@ -241,7 +243,7 @@ TEST(Hub, LaterAttachTimeGetsFreshComponents) {
 TEST(Hub, DetachReleasesViews) {
   HubFixture f;
   {
-    Monitor a(f.hub, 0, small_monitor());
+    ReferenceMonitor a(f.hub, 0, small_monitor());
     EXPECT_EQ(f.hub.view_count(), 1u);
   }
   EXPECT_EQ(f.hub.view_count(), 0u);
@@ -249,22 +251,11 @@ TEST(Hub, DetachReleasesViews) {
 
 TEST(Hub, FactoryStandaloneMatchesLegacyLayout) {
   HubFixture f;
+  // A private hub whose one view is the monitor's one-lane batch group.
   const auto m = MonitorFactory(f.sim, f.mac, f.timeline).watch(0, small_monitor());
   EXPECT_EQ(m->hub().view_count(), 1u);
   EXPECT_NE(&m->hub(), &f.hub);
   EXPECT_EQ(m->self(), 1u);  // the fixture's MAC is node 1
-}
-
-TEST(Hub, FactorySharedModeStampsViews) {
-  HubFixture f;
-  MonitorFactory factory(f.hub);
-  factory.with_config(small_monitor());
-  const auto a = factory.watch(0);
-  MonitorConfig other = small_monitor();
-  other.sample_size = 25;
-  const auto b = factory.watch(0, other);
-  EXPECT_EQ(f.hub.view_count(), 2u);
-  EXPECT_EQ(f.hub.ring_count(), 1u);  // knobs equal -> shared ring
 }
 
 // --- Batch config-grouping --------------------------------------------------
@@ -336,6 +327,19 @@ TEST(MonitorBatch, FacadeAccessorsReadLaneState) {
   EXPECT_FALSE(batch.lane_active(0));
   m->set_active(true);
   EXPECT_TRUE(batch.lane_active(0));
+}
+
+TEST(MonitorBatch, ZeroSampleSizeIsRejected) {
+  // A zero-width window can never close and would own no arena slice.
+  HubFixture f;
+  MonitorBatch batch(f.hub);
+  EXPECT_THROW(batch.add_lane(0, small_monitor(0)), std::invalid_argument);
+  MonitorConfig cusum = small_monitor(0);
+  cusum.detector = DetectorKind::kCusum;
+  EXPECT_THROW(batch.add_lane(0, cusum), std::invalid_argument);
+  EXPECT_EQ(batch.lane_count(), 0u);
+  EXPECT_THROW(MonitorFactory(f.sim, f.mac, f.timeline).watch(0, small_monitor(0)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 //   sweep_merge --json=merged.json shard_*.mcol
 //
 // produces a merged.json byte-identical to `bench --json=merged.json`
-// run in one process (modulo the wall-clock fields; bench/perf_pr10.sh
+// run in one process (modulo the wall-clock fields; scripts/check.sh
 // strips those before diffing). Without --json the tool just validates
 // and prints a summary. Exit status: 0 on success, 1 on any validation
 // failure (message on stderr).

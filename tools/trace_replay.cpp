@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
   flags.add_int("mobile", 0, "1 = random waypoint + monitor handoff (record)");
   flags.add_double("max_speed", 20, "random waypoint max speed, m/s (record)");
   flags.add_double("pause", 0, "random waypoint pause time, s (record)");
-  flags.add_double_list("sample_sizes", "10,25", "Wilcoxon/sequential window sizes");
+  flags.add_count_list("sample_sizes", "10,25", "Wilcoxon/sequential window sizes");
   flags.add_name_list("detectors", "wilcoxon",
                       "detector kinds (wilcoxon, cusum, sprt); one monitor "
                       "config per detector x sample size");
