@@ -6,7 +6,8 @@
 // per-config counter, the aggregated MonitorStats, and every post-warmup
 // WindowResult (p-values as hex floats, so the digest is bit-exact).
 // CondProbFig3 pins the fig3 conditional-probability measurement the same
-// way.
+// way, and ScaleRwp the counters of a 200-node random-waypoint AODV
+// request/response run (the mobile channel index at scale).
 //
 // The digests pin the detection pipeline's output, not its structure: a
 // refactor of the monitor, the hub, the batch lanes, the statistics, or
@@ -23,6 +24,8 @@
 #include "detect/experiment.hpp"
 #include "detect/replay.hpp"
 #include "detect/trace.hpp"
+#include "net/network.hpp"
+#include "net/scale.hpp"
 
 namespace manet::detect {
 namespace {
@@ -227,6 +230,95 @@ TEST(Golden, CondProbFig3) {
   }
   EXPECT_EQ(crypto::to_hex(crypto::Md5::hash(out)),
             "6fe8630c1e4f2294498383a173676898");
+}
+
+TEST(Golden, ScaleRwp) {
+  // Above the channel's small-network cutoff, with mobility: every
+  // delivery decision of the incremental index feeds these counters.
+  net::ScaleScenarioParams params;
+  params.nodes = 200;
+  params.sim_seconds = 6.0;
+  params.seed = 5;
+  const net::ScenarioConfig config = net::make_scale_config(params);
+  net::Network net(config);
+  net::ScaleWorkload workload(net, config.num_flows, config.packets_per_second,
+                              config.seed);
+  workload.start(kSecond, seconds_to_time(config.sim_seconds));
+  net.run_until(seconds_to_time(config.sim_seconds));
+
+  std::string out;
+  const net::ScaleWorkload::Stats w = workload.stats();
+  append(out, "generated", w.requests_generated);
+  append(out, "delivered", w.requests_delivered);
+  append(out, "responses_sent", w.responses_sent);
+  append(out, "responses_delivered", w.responses_delivered);
+  out += '\n';
+  net::AodvStats aodv;
+  mac::MacStats mac;
+  for (NodeId i = 0; i < net.size(); ++i) {
+    const net::AodvStats& a = net.router(i)->stats();
+    aodv.originated += a.originated;
+    aodv.delivered += a.delivered;
+    aodv.forwarded += a.forwarded;
+    aodv.rreq_sent += a.rreq_sent;
+    aodv.rrep_sent += a.rrep_sent;
+    aodv.rerr_sent += a.rerr_sent;
+    aodv.discovery_failures += a.discovery_failures;
+    aodv.drops_no_route += a.drops_no_route;
+    aodv.drops_link_failure += a.drops_link_failure;
+    aodv.drops_buffer_full += a.drops_buffer_full;
+    const mac::MacStats& m = net.mac(i).stats();
+    mac.enqueued += m.enqueued;
+    mac.queue_drops += m.queue_drops;
+    mac.rts_sent += m.rts_sent;
+    mac.cts_sent += m.cts_sent;
+    mac.data_sent += m.data_sent;
+    mac.ack_sent += m.ack_sent;
+    mac.retries += m.retries;
+    mac.retry_drops += m.retry_drops;
+    mac.packets_acked += m.packets_acked;
+    mac.packets_delivered += m.packets_delivered;
+    mac.broadcasts_sent += m.broadcasts_sent;
+    mac.broadcasts_received += m.broadcasts_received;
+    mac.duplicate_data += m.duplicate_data;
+    mac.rx_errors += m.rx_errors;
+    mac.frames_received += m.frames_received;
+    mac.backoffs_started += m.backoffs_started;
+    mac.backoff_slots_total += m.backoff_slots_total;
+  }
+  append(out, "originated", aodv.originated);
+  append(out, "l3_delivered", aodv.delivered);
+  append(out, "forwarded", aodv.forwarded);
+  append(out, "rreq", aodv.rreq_sent);
+  append(out, "rrep", aodv.rrep_sent);
+  append(out, "rerr", aodv.rerr_sent);
+  append(out, "discovery_failures", aodv.discovery_failures);
+  append(out, "no_route", aodv.drops_no_route);
+  append(out, "link_failure", aodv.drops_link_failure);
+  append(out, "buffer_full", aodv.drops_buffer_full);
+  out += '\n';
+  append(out, "enqueued", mac.enqueued);
+  append(out, "queue_drops", mac.queue_drops);
+  append(out, "rts", mac.rts_sent);
+  append(out, "cts", mac.cts_sent);
+  append(out, "data", mac.data_sent);
+  append(out, "ack", mac.ack_sent);
+  append(out, "retries", mac.retries);
+  append(out, "retry_drops", mac.retry_drops);
+  append(out, "acked", mac.packets_acked);
+  append(out, "mac_delivered", mac.packets_delivered);
+  append(out, "bcast_sent", mac.broadcasts_sent);
+  append(out, "bcast_received", mac.broadcasts_received);
+  append(out, "duplicates", mac.duplicate_data);
+  append(out, "rx_errors", mac.rx_errors);
+  append(out, "frames_received", mac.frames_received);
+  append(out, "backoffs", mac.backoffs_started);
+  append(out, "backoff_slots", mac.backoff_slots_total);
+  out += '\n';
+  EXPECT_GT(w.requests_delivered, 0u) << out;
+  EXPECT_EQ(crypto::to_hex(crypto::Md5::hash(out)),
+            "e80ba2550be3e7eac480ca29a2542d2a")
+      << out;
 }
 
 }  // namespace
