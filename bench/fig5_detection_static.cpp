@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
                  "sybil, rts_flood, pm<percent>); empty keeps the paper grid "
                  "byte-identical");
   flags.add_string("channel_index", "auto",
-                   "channel receiver lookup: auto | incremental | rebuild | scan");
+                   "channel receiver lookup: auto | scan");
   flags.add_engine_flags();
   flags.add_fabric_flags();
   flags.parse_or_exit(argc, argv);

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   flags.add_double("max_speed", 20, "random waypoint max speed (m/s)");
   flags.add_double("pause", 0, "random waypoint pause time (s)");
   flags.add_string("channel_index", "auto",
-                   "channel receiver lookup: auto | incremental | rebuild | scan");
+                   "channel receiver lookup: auto | scan");
   flags.add_engine_flags();
   flags.parse_or_exit(argc, argv);
 

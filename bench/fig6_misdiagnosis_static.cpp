@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
                  "disabled, so every flag is still a false alarm (empty "
                  "keeps the paper rows byte-identical)");
   flags.add_string("channel_index", "auto",
-                   "channel receiver lookup: auto | incremental | rebuild | scan");
+                   "channel receiver lookup: auto | scan");
   flags.add_engine_flags();
   flags.add_fabric_flags();
   flags.parse_or_exit(argc, argv);

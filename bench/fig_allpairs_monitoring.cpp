@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   flags.add_int("seed", 501, "base random seed");
   flags.add_double("alpha", 0.01, "significance level for rejecting H0");
   flags.add_string("channel_index", "auto",
-                   "channel receiver lookup: auto | incremental | rebuild | scan");
+                   "channel receiver lookup: auto | scan");
   flags.add_engine_flags();
   flags.parse_or_exit(argc, argv);
 

@@ -2,13 +2,11 @@
 // second) vs node count, under random-waypoint mobility and a multi-hop
 // AODV request/response workload at the paper's node density.
 //
-// This is the tentpole benchmark for the incremental spatial index: the
-// --index flag pins the channel's receiver-lookup path, so
-//   --index=rebuild   measures the retained pre-PR-9 kernel (per-move grid
-//                     rebuilds + O(N^2) link cache), and
-//   --index=incremental (or auto) measures the bounded-memory incremental
-//                     index. Workload results are byte-identical across
-//                     modes — only the wall clock moves.
+// It measures the channel's incremental spatial index at scale. The
+// --index flag picks the receiver-lookup path: auto (the incremental
+// index) or scan (the reference full scan). Workload results are
+// byte-identical across the two; only the wall clock moves.
+// --cache_stats=1 also prints and records the index's counters.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -25,7 +23,7 @@ int main(int argc, char** argv) {
       "(random waypoint + multi-hop AODV request/response).");
   flags.add_double_list("nodes", "250,500,1000,2000", "node counts swept");
   flags.add_string("index", "auto",
-                   "channel receiver lookup: auto | incremental | rebuild | scan");
+                   "channel receiver lookup: auto | scan");
   flags.add_double("sim_time", 10, "simulated seconds per point");
   flags.add_int("flows", 0, "request flows (0 = nodes/20)");
   flags.add_double("rate", 2, "requests per second per flow");
@@ -110,10 +108,9 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(aodv.forwarded),
           static_cast<unsigned long long>(aodv.discovery_failures));
       std::printf(
-          "          rebuilds=%llu scans=%llu migrations=%llu checks=%llu "
+          "          scans=%llu migrations=%llu checks=%llu "
           "budget_hit=%.3f avg_candidates=%.1f "
           "prefiltered=%llu index_mem=%zuB\n",
-          static_cast<unsigned long long>(cs.grid_rebuilds),
           static_cast<unsigned long long>(cs.full_scans),
           static_cast<unsigned long long>(cs.cell_migrations),
           static_cast<unsigned long long>(cs.migration_checks),
@@ -148,8 +145,7 @@ int main(int argc, char** argv) {
       // Timing-free internals: recorded only on request so default JSON
       // stays diffable across index modes (the identity check in
       // scripts/check.sh strips wall fields but compares everything else).
-      rec.add("grid_rebuilds", cs.grid_rebuilds)
-          .add("full_scans", cs.full_scans)
+      rec.add("full_scans", cs.full_scans)
           .add("cell_migrations", cs.cell_migrations)
           .add("migration_checks", cs.migration_checks)
           .add("link_budget_hits", cs.link_budget_hits)

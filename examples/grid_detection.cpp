@@ -25,33 +25,41 @@ int main(int argc, char** argv) {
   config.declare("runs", "1", "independent trials aggregated (seeds seed..seed+runs-1)");
   config.declare("threads", "0",
                  "worker threads for the trials (0 = all hardware threads)");
+  detect::DetectionConfig cfg;
+  long long runs = 0;
+  long long threads = 0;
   try {
     const auto parsed = util::parse_flags(argc, argv, config);
     if (parsed.help) {
       std::printf("Grid detection demo.\n\nFlags:\n%s", config.render().c_str());
       return 0;
     }
+    cfg.scenario.sim_seconds = config.get_double("sim_time");
+    cfg.scenario.seed = static_cast<std::uint64_t>(config.get_int("seed"));
+    cfg.rate_pps = config.get_double("rate");
+    cfg.pm = config.get_double("pm");
+    const long long sample_size = config.get_int("sample_size");
+    runs = config.get_int("runs");
+    threads = config.get_int("threads");
+    // The counts are cast to unsigned types below: refuse what would wrap.
+    if (sample_size < 1) throw util::ConfigError("sample_size must be >= 1");
+    if (runs < 1) throw util::ConfigError("runs must be >= 1");
+    if (threads < 0) throw util::ConfigError("threads must be >= 0");
+    cfg.monitor.sample_size = static_cast<std::size_t>(sample_size);
   } catch (const util::ConfigError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
-
-  detect::DetectionConfig cfg;
-  cfg.scenario.sim_seconds = config.get_double("sim_time");
-  cfg.scenario.seed = static_cast<std::uint64_t>(config.get_int("seed"));
-  cfg.rate_pps = config.get_double("rate");
-  cfg.pm = config.get_double("pm");
-  cfg.monitor.sample_size = static_cast<std::size_t>(config.get_int("sample_size"));
   cfg.monitor.fixed_n = cfg.monitor.fixed_k = 5.0;  // the paper's grid setting
   cfg.monitor.fixed_m = cfg.monitor.fixed_j = 5.0;
   cfg.monitor.fixed_contenders = 20.0;
 
-  const int runs = static_cast<int>(config.get_int("runs"));
-  exp::Engine engine(static_cast<unsigned>(config.get_int("threads")));
+  exp::Engine engine(static_cast<unsigned>(threads));
 
   std::printf("7x8 grid, 30 one-hop flows, tagged node at the grid center "
-              "(PM=%.0f%%, %d run%s)\n\n", cfg.pm, runs, runs == 1 ? "" : "s");
-  const detect::DetectionResult r = detect::run_detection_trials(cfg, runs, engine);
+              "(PM=%.0f%%, %lld run%s)\n\n", cfg.pm, runs, runs == 1 ? "" : "s");
+  const detect::DetectionResult r =
+      detect::run_detection_trials(cfg, static_cast<int>(runs), engine);
 
   std::printf("measured traffic intensity at the monitor : %.3f\n", r.measured_rho);
   std::printf("RTS frames observed from the tagged node  : %llu\n",

@@ -21,27 +21,29 @@ int main(int argc, char** argv) {
   config.declare("pause", "0", "random waypoint pause time (s)");
   config.declare("sample_size", "10", "Wilcoxon window size");
   config.declare("seed", "17", "random seed");
+  detect::DetectionConfig cfg;
   try {
     const auto parsed = util::parse_flags(argc, argv, config);
     if (parsed.help) {
       std::printf("Mobile network demo.\n\nFlags:\n%s", config.render().c_str());
       return 0;
     }
+    cfg.scenario.max_speed_mps = config.get_double("max_speed");
+    cfg.scenario.pause_s = config.get_double("pause");
+    cfg.scenario.sim_seconds = config.get_double("sim_time");
+    cfg.scenario.seed = static_cast<std::uint64_t>(config.get_int("seed"));
+    cfg.rate_pps = config.get_double("rate");
+    cfg.pm = config.get_double("pm");
+    const long long sample_size = config.get_int("sample_size");
+    // Cast to size_t below: refuse what would wrap.
+    if (sample_size < 1) throw util::ConfigError("sample_size must be >= 1");
+    cfg.monitor.sample_size = static_cast<std::size_t>(sample_size);
   } catch (const util::ConfigError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
-
-  detect::DetectionConfig cfg;
   cfg.scenario.mobility = net::MobilityKind::kRandomWaypoint;
-  cfg.scenario.max_speed_mps = config.get_double("max_speed");
-  cfg.scenario.pause_s = config.get_double("pause");
-  cfg.scenario.sim_seconds = config.get_double("sim_time");
-  cfg.scenario.seed = static_cast<std::uint64_t>(config.get_int("seed"));
-  cfg.rate_pps = config.get_double("rate");
-  cfg.pm = config.get_double("pm");
   cfg.mobile_handoff = true;
-  cfg.monitor.sample_size = static_cast<std::size_t>(config.get_int("sample_size"));
   cfg.monitor.fixed_n = cfg.monitor.fixed_k = 5.0;
   cfg.monitor.fixed_m = cfg.monitor.fixed_j = 5.0;
   cfg.monitor.fixed_contenders = 20.0;

@@ -44,13 +44,20 @@ same_across_threads fig5d_detection_mobile fig5d --pms=50 \
 same_across_threads fig_allpairs_monitoring deg8 --grid_spacing=170 \
     --loads=0.6 --pms=0,50 --sim_time=20 --runs=2
 # The receiver-lookup index is a lookup strategy, never a physics change:
-# the mobile sweep must match the always-exact full scan.
+# the mobile sweep (cell probe) and the 9-radio degree-8 all-pairs sweep
+# (every radio a candidate) must match the always-exact full scan.
 ./build/bench/fig5d_detection_mobile --pms=50 --sample_sizes=10,25 \
     --sim_time=40 --runs=2 --threads=4 --channel_index=scan \
     --json="$smoke_dir/fig5d_scan.json" >/dev/null
 diff <(strip_timing "$smoke_dir/fig5d_t1.json") \
      <(strip_timing "$smoke_dir/fig5d_scan.json") \
   || { echo "fig5d output differs between the index and the full scan"; exit 1; }
+./build/bench/fig_allpairs_monitoring --grid_spacing=170 --loads=0.6 \
+    --pms=0,50 --sim_time=20 --runs=2 --threads=4 --channel_index=scan \
+    --json="$smoke_dir/deg8_scan.json" >/dev/null
+diff <(strip_timing "$smoke_dir/deg8_t1.json") \
+     <(strip_timing "$smoke_dir/deg8_scan.json") \
+  || { echo "deg8 all-pairs output differs between the index and the full scan"; exit 1; }
 # Shard splits, including more shards than cells (empty trailing ranges).
 roc_shard_flags=(--attackers=pm50,colluding,sybil,rts_flood
                  --thresholds=0.001,0.01 --sim_time=15 --runs=2 --threads=1)
@@ -109,7 +116,7 @@ diff <(strip_timing "$smoke_dir/fig5.json") \
   || { echo "parallel sweep output differs from serial"; exit 1; }
 
 echo "== perf smoke (ASan + UBSan) =="
-# The spatial-index / link-cache fast path must not change results: the
+# The spatial-index / pair-cache fast path must not change results: the
 # serial-vs-parallel diff above already ran on the optimized kernel; here a
 # fixed-iteration pass over the micro benches walks the optimized EventQueue,
 # CsTimeline sweep, and channel grid under the sanitizers.
@@ -245,11 +252,10 @@ echo "== scale kernel smoke (ASan + UBSan) =="
 # the predicted-position prefilter, the parked-pair cache, and the
 # timeline hard budgets all run instrumented.
 ./build-asan/bench/fig_scale_sweep --nodes=1000 --sim_time=2 \
-    --index=incremental --cache_stats=1 \
-    --json="$smoke_dir/scale_1k.json" >/dev/null
+    --cache_stats=1 --json="$smoke_dir/scale_1k.json" >/dev/null
 grep -q '^{' "$smoke_dir/scale_1k.json" \
   || { echo "empty JSON sink output: scale_1k.json"; exit 1; }
-# Incremental-vs-reference index diff: the receiver-lookup path must be
+# Index-vs-reference diff: the receiver-lookup path must be
 # invisible to the workload — every request/response and AODV counter
 # identical between the incremental index and the full-scan reference
 # (only the index name and wall-clock fields may differ).
@@ -258,7 +264,7 @@ strip_scale() {
           s/"index": "[a-z]+", //' "$1"
 }
 scale_flags=(--nodes=400 --sim_time=3 --seed=7)
-./build-asan/bench/fig_scale_sweep "${scale_flags[@]}" --index=incremental \
+./build-asan/bench/fig_scale_sweep "${scale_flags[@]}" \
     --json="$smoke_dir/scale_inc.json" >/dev/null
 ./build-asan/bench/fig_scale_sweep "${scale_flags[@]}" --index=scan \
     --json="$smoke_dir/scale_scan.json" >/dev/null

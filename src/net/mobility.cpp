@@ -37,16 +37,6 @@ void RandomWaypoint::advance_to(NodeState& st, SimTime at) const {
   }
 }
 
-std::uint64_t RandomWaypoint::position_epoch(NodeId node, SimTime at) const {
-  NodeState& st = nodes_.at(node);
-  if (at < st.leg.start) at = st.leg.start;  // clamp rewinds like position()
-  advance_to(st, at);
-  // Stationary only during the pause [arrive, next_start); the leg index
-  // distinguishes successive pauses at different waypoints.
-  if (at >= st.leg.arrive && params_.pause > 0) return st.leg_index;
-  return phy::kMovingEpoch;
-}
-
 phy::MotionState RandomWaypoint::motion(NodeId node, SimTime at) const {
   NodeState& st = nodes_.at(node);
   if (at < st.leg.start) at = st.leg.start;  // clamp rewinds like position()

@@ -48,7 +48,7 @@ struct ScaleScenarioParams {
 
   std::uint64_t seed = 1;
 
-  /// Channel receiver-lookup mode (auto | incremental | rebuild | scan).
+  /// Channel receiver-lookup mode (auto | scan).
   std::string channel_index = "auto";
 
   /// Per-node carrier-history budgets. Scale runs keep a short horizon:

@@ -14,8 +14,9 @@
 namespace manet::phy {
 
 namespace {
-// Below this many radios the grid's 3x3 cell probe costs more than simply
-// walking every attach index; the link-budget cache applies either way.
+// Up to this many radios the grid's 3x3 cell probe costs more than simply
+// walking every attach index; the prefilter and the pair cache apply
+// either way.
 constexpr std::size_t kDirectScanRadios = 16;
 
 // Pad added to the carrier-sense range when sizing incremental cells and
@@ -48,43 +49,22 @@ std::size_t pair_cache_capacity(std::size_t radios) {
 
 Channel::IndexMode Channel::parse_index_mode(std::string_view name) {
   if (name == "auto") return IndexMode::kAuto;
-  if (name == "incremental") return IndexMode::kIncremental;
-  if (name == "rebuild") return IndexMode::kRebuild;
   if (name == "scan") return IndexMode::kFullScan;
-  throw std::invalid_argument(
-      "unknown channel index mode '" + std::string(name) +
-      "' (expected auto|incremental|rebuild|scan)");
-}
-
-const char* Channel::index_mode_name(IndexMode mode) {
-  switch (mode) {
-    case IndexMode::kAuto: return "auto";
-    case IndexMode::kIncremental: return "incremental";
-    case IndexMode::kRebuild: return "rebuild";
-    case IndexMode::kFullScan: return "scan";
-  }
-  return "?";
+  throw std::invalid_argument("unknown channel index mode '" +
+                              std::string(name) + "' (expected auto|scan)");
 }
 
 Channel::Channel(sim::Simulator& simulator, Propagation& propagation,
                  const PositionProvider& positions)
     : sim_(simulator), prop_(propagation), positions_(positions) {
-  // kRebuild sizing: slack sized so rebuilds stay rare (at 20 m/s a quarter
-  // of the 550 m sensing range buys ~6.9 s between rebuilds) while keeping
-  // the candidate neighborhood a 3x3 block of cells.
-  slack_m_ = 0.25 * prop_.params().cs_range_m;
-  cell_m_ = prop_.params().cs_range_m + slack_m_;
-  const double limit = prop_.params().cs_range_m + slack_m_;
-  prefilter_limit_sq_ = limit * limit;
-  // kIncremental sizing: cells only need to cover the padded sensing range
-  // (staleness is handled by migration deadlines, not slack), so candidate
-  // sets shrink ~(687.5/551)^2 vs the rebuild grid.
-  inc_cell_m_ = prop_.params().cs_range_m + kCellPadM;
+  // Cells only need to cover the padded sensing range: staleness is
+  // handled by migration deadlines, not slack.
+  cell_m_ = prop_.params().cs_range_m + kCellPadM;
   // Candidate prefilter radius: 1 m of slack absorbs the FP rounding of a
   // predicted position (ref + v*dt vs the provider's own expression), so a
   // predicted distance beyond this limit proves the true distance exceeds
   // the padded sensing range — the exact claim the audibility window makes.
-  const double predict_limit = inc_cell_m_ + 1.0;
+  const double predict_limit = cell_m_ + 1.0;
   predict_limit_sq_ = predict_limit * predict_limit;
 }
 
@@ -111,34 +91,17 @@ void Channel::install_faults(FaultInjector& faults) {
   }
 }
 
-Channel::IndexMode Channel::effective_mode() const {
+bool Channel::indexed() const {
   // Shadowing draws one RNG deviate per rx_power_dbm call and can lift a
   // node beyond cs_range above the threshold, so any pre-filtering would
   // change both the draw sequence and the audible set: full scan only.
-  if (prop_.params().shadowing_sigma_db != 0.0) return IndexMode::kFullScan;
-  switch (index_mode_) {
-    case IndexMode::kFullScan:
-      return IndexMode::kFullScan;
-    case IndexMode::kRebuild:
-      // An unbounded speed means recorded cells can go arbitrarily stale.
-      return positions_.max_speed_mps() == kUnboundedSpeed
-                 ? IndexMode::kFullScan
-                 : IndexMode::kRebuild;
-    case IndexMode::kIncremental:
-      return positions_.piecewise_linear() ? IndexMode::kIncremental
-                                           : IndexMode::kFullScan;
-    case IndexMode::kAuto:
-      break;
-  }
-  if (positions_.piecewise_linear() && radios_.size() > kDirectScanRadios) {
-    return IndexMode::kIncremental;
-  }
-  if (positions_.max_speed_mps() != kUnboundedSpeed) return IndexMode::kRebuild;
-  return IndexMode::kFullScan;
+  return index_mode_ == IndexMode::kAuto &&
+         prop_.params().shadowing_sigma_db == 0.0 &&
+         positions_.piecewise_linear();
 }
 
 std::int32_t Channel::cell_coord(double v) const {
-  const double c = std::floor(v / inc_cell_m_);
+  const double c = std::floor(v / cell_m_);
   if (!(c >= -2147483000.0 && c <= 2147483000.0)) {
     throw std::invalid_argument(
         "node position overflows spatial-index cell coordinates");
@@ -147,87 +110,7 @@ std::int32_t Channel::cell_coord(double v) const {
 }
 
 // ---------------------------------------------------------------------------
-// kRebuild path — retained PR-4 kernel, byte-for-byte.
-
-void Channel::maybe_rebuild_grid(SimTime now) {
-  if (grid_radios_ == radios_.size()) {
-    const double max_speed = positions_.max_speed_mps();
-    if (max_speed <= 0.0) return;  // static: never stale
-    const double drift_m =
-        time_to_seconds(now - grid_built_at_) * max_speed;
-    if (drift_m <= slack_m_) return;  // recorded cells still conservative
-  }
-  grid_.clear();
-  grid_pos_.resize(radios_.size());
-  const double inv_cell = 1.0 / cell_m_;
-  for (std::uint32_t i = 0; i < radios_.size(); ++i) {
-    const geom::Vec2 p = positions_.position(radios_[i]->id(), now);
-    grid_pos_[i] = p;
-    const auto cx = static_cast<std::int32_t>(std::floor(p.x * inv_cell));
-    const auto cy = static_cast<std::int32_t>(std::floor(p.y * inv_cell));
-    grid_[cell_key(cx, cy)].push_back(i);
-  }
-  grid_built_at_ = now;
-  grid_radios_ = radios_.size();
-  ++cache_stats_.grid_rebuilds;
-}
-
-void Channel::collect_candidates(const geom::Vec2& tx_pos,
-                                 std::vector<std::uint32_t>& out) const {
-  out.clear();
-  const double inv_cell = 1.0 / cell_m_;
-  const auto cx = static_cast<std::int32_t>(std::floor(tx_pos.x * inv_cell));
-  const auto cy = static_cast<std::int32_t>(std::floor(tx_pos.y * inv_cell));
-  for (std::int32_t dx = -1; dx <= 1; ++dx) {
-    for (std::int32_t dy = -1; dy <= 1; ++dy) {
-      const auto it = grid_.find(cell_key(cx + dx, cy + dy));
-      if (it == grid_.end()) continue;
-      for (const std::uint32_t idx : it->second) {
-        const geom::Vec2 d = grid_pos_[idx] - tx_pos;
-        if (d.x * d.x + d.y * d.y <= prefilter_limit_sq_) {
-          out.push_back(idx);
-        }
-      }
-    }
-  }
-  // Attach order: the fault injector's RNG stream must be consumed in the
-  // same receiver order as the reference full scan.
-  std::sort(out.begin(), out.end());
-}
-
-double Channel::link_power(std::uint32_t tx_idx, std::uint32_t rx_idx,
-                           std::uint64_t tx_epoch, const geom::Vec2& tx_pos,
-                           SimTime at) {
-  const std::size_t n = radios_.size();
-  if (tx_epoch != kMovingEpoch) {
-    const std::uint64_t rx_epoch =
-        positions_.position_epoch(radios_[rx_idx]->id(), at);
-    if (rx_epoch != kMovingEpoch) {
-      if (link_cache_.size() != n * n) {
-        link_cache_.assign(n * n, LinkCacheEntry{});
-      }
-      LinkCacheEntry& e = link_cache_[tx_idx * n + rx_idx];
-      if (e.tx_epoch == tx_epoch && e.rx_epoch == rx_epoch) {
-        ++cache_stats_.link_budget_hits;
-        return e.power_dbm;
-      }
-      const double power = prop_.rx_power_dbm(
-          tx_pos, positions_.position(radios_[rx_idx]->id(), at));
-      ++cache_stats_.link_budget_misses;
-      e = LinkCacheEntry{tx_epoch, rx_epoch, power};
-      // Path loss depends only on distance: fill the reverse link too.
-      link_cache_[static_cast<std::size_t>(rx_idx) * n + tx_idx] =
-          LinkCacheEntry{rx_epoch, tx_epoch, power};
-      return power;
-    }
-  }
-  ++cache_stats_.link_budget_misses;
-  return prop_.rx_power_dbm(tx_pos,
-                            positions_.position(radios_[rx_idx]->id(), at));
-}
-
-// ---------------------------------------------------------------------------
-// kIncremental path.
+// Incremental index.
 
 void Channel::heap_push(SimTime due, std::uint32_t idx) {
   migrate_heap_.emplace_back(due, idx);
@@ -244,17 +127,17 @@ SimTime Channel::next_due(const MotionState& m, std::int32_t cx,
   } else {
     // Earliest time the segment's straight line exits the current cell.
     double exit_s = std::numeric_limits<double>::infinity();
-    const double x0 = static_cast<double>(cx) * inc_cell_m_;
-    const double y0 = static_cast<double>(cy) * inc_cell_m_;
+    const double x0 = static_cast<double>(cx) * cell_m_;
+    const double y0 = static_cast<double>(cy) * cell_m_;
     if (m.velocity_mps.x > 0.0) {
       exit_s = std::min(exit_s,
-                        (x0 + inc_cell_m_ - m.position.x) / m.velocity_mps.x);
+                        (x0 + cell_m_ - m.position.x) / m.velocity_mps.x);
     } else if (m.velocity_mps.x < 0.0) {
       exit_s = std::min(exit_s, (x0 - m.position.x) / m.velocity_mps.x);
     }
     if (m.velocity_mps.y > 0.0) {
       exit_s = std::min(exit_s,
-                        (y0 + inc_cell_m_ - m.position.y) / m.velocity_mps.y);
+                        (y0 + cell_m_ - m.position.y) / m.velocity_mps.y);
     } else if (m.velocity_mps.y < 0.0) {
       exit_s = std::min(exit_s, (y0 - m.position.y) / m.velocity_mps.y);
     }
@@ -279,15 +162,15 @@ void Channel::rebucket(std::uint32_t idx, SimTime now, bool initial) {
   const std::int32_t cx = cell_coord(m.position.x);
   const std::int32_t cy = cell_coord(m.position.y);
   if (initial) {
-    inc_grid_[cell_key(cx, cy)].push_back(idx);
+    grid_[cell_key(cx, cy)].push_back(idx);
   } else if (cx != rm.cx || cy != rm.cy) {
-    std::vector<std::uint32_t>& old_cell = inc_grid_[cell_key(rm.cx, rm.cy)];
+    std::vector<std::uint32_t>& old_cell = grid_[cell_key(rm.cx, rm.cy)];
     const auto it = std::find(old_cell.begin(), old_cell.end(), idx);
     if (it != old_cell.end()) {
       *it = old_cell.back();
       old_cell.pop_back();
     }
-    inc_grid_[cell_key(cx, cy)].push_back(idx);
+    grid_[cell_key(cx, cy)].push_back(idx);
     ++cache_stats_.cell_migrations;
   }
   rm.cx = cx;
@@ -301,15 +184,15 @@ void Channel::rebucket(std::uint32_t idx, SimTime now, bool initial) {
 }
 
 void Channel::ensure_incremental(SimTime now) {
-  if (inc_radios_ == radios_.size()) return;
-  inc_grid_.clear();
+  if (indexed_radios_ == radios_.size()) return;
+  grid_.clear();
   migrate_heap_.clear();
   cells_.assign(radios_.size(), RadioMotion{});
   pair_cache_.assign(pair_cache_capacity(radios_.size()), PairEntry{});
   for (std::uint32_t i = 0; i < radios_.size(); ++i) {
     rebucket(i, now, /*initial=*/true);
   }
-  inc_radios_ = radios_.size();
+  indexed_radios_ = radios_.size();
 }
 
 void Channel::drain_migrations(SimTime now) {
@@ -324,25 +207,28 @@ void Channel::drain_migrations(SimTime now) {
   }
 }
 
-void Channel::collect_candidates_incremental(
-    const geom::Vec2& tx_pos, std::vector<std::uint32_t>& out) const {
+void Channel::collect_candidates(const geom::Vec2& tx_pos,
+                                 std::vector<std::uint32_t>& out) const {
   // Unsorted: transmit() orders the (much smaller) audible subset before
   // delivering, which is where attach order actually matters.
   out.clear();
+  if (radios_.size() <= kDirectScanRadios) {
+    for (std::uint32_t i = 0; i < radios_.size(); ++i) out.push_back(i);
+    return;
+  }
   const std::int32_t cx = cell_coord(tx_pos.x);
   const std::int32_t cy = cell_coord(tx_pos.y);
   for (std::int32_t dx = -1; dx <= 1; ++dx) {
     for (std::int32_t dy = -1; dy <= 1; ++dy) {
-      const auto it = inc_grid_.find(cell_key(cx + dx, cy + dy));
-      if (it == inc_grid_.end()) continue;
+      const auto it = grid_.find(cell_key(cx + dx, cy + dy));
+      if (it == grid_.end()) continue;
       out.insert(out.end(), it->second.begin(), it->second.end());
     }
   }
 }
 
-bool Channel::pair_power(std::uint32_t tx_idx, std::uint32_t rx_idx,
-                         const geom::Vec2& tx_pos, SimTime at,
-                         double& power_dbm) {
+double Channel::pair_power(std::uint32_t tx_idx, std::uint32_t rx_idx,
+                           const geom::Vec2& tx_pos, SimTime at) {
   const std::uint32_t lo = std::min(tx_idx, rx_idx);
   const std::uint32_t hi = std::max(tx_idx, rx_idx);
   const RadioMotion& lm = cells_[lo];
@@ -356,9 +242,8 @@ bool Channel::pair_power(std::uint32_t tx_idx, std::uint32_t rx_idx,
     // needs its exact power anyway — a cache probe would be pure overhead.
     // Exact power from exact positions, like the reference scan.
     ++cache_stats_.link_budget_misses;
-    power_dbm = prop_.rx_power_dbm(
-        tx_pos, positions_.position(radios_[rx_idx]->id(), at));
-    return true;
+    return prop_.rx_power_dbm(tx_pos,
+                              positions_.position(radios_[rx_idx]->id(), at));
   }
   // Both endpoints parked: their positions are constant for the lifetime of
   // the (epoch, epoch) pair, so the cached power is exactly what a fresh
@@ -368,15 +253,13 @@ bool Channel::pair_power(std::uint32_t tx_idx, std::uint32_t rx_idx,
   PairEntry& e = pair_cache_[util::mix64(key) & (pair_cache_.size() - 1)];
   if (e.key == key && e.lo_epoch == lm.epoch && e.hi_epoch == hm.epoch) {
     ++cache_stats_.link_budget_hits;
-    power_dbm = e.power_dbm;
-    return true;
+    return e.power_dbm;
   }
   ++cache_stats_.link_budget_misses;
   const double power = prop_.rx_power_dbm(
       tx_pos, positions_.position(radios_[rx_idx]->id(), at));
   e = PairEntry{key, lm.epoch, hm.epoch, power};
-  power_dbm = power;
-  return true;
+  return power;
 }
 
 // ---------------------------------------------------------------------------
@@ -386,7 +269,7 @@ bool Channel::radios_within(NodeId center, double range_m, SimTime at,
   out.clear();
   if (!positions_.piecewise_linear()) return false;
   if (at != sim_.now()) return false;  // migrations only move forward
-  if (!(range_m >= 0.0) || range_m > inc_cell_m_) return false;  // 3x3 probe
+  if (!(range_m >= 0.0) || range_m > cell_m_) return false;  // 3x3 probe
   const auto center_it = by_id_.find(center);
   if (center_it == by_id_.end()) return false;
   ensure_incremental(at);
@@ -397,8 +280,8 @@ bool Channel::radios_within(NodeId center, double range_m, SimTime at,
   const double range_sq = range_m * range_m;
   for (std::int32_t dx = -1; dx <= 1; ++dx) {
     for (std::int32_t dy = -1; dy <= 1; ++dy) {
-      const auto it = inc_grid_.find(cell_key(cx + dx, cy + dy));
-      if (it == inc_grid_.end()) continue;
+      const auto it = grid_.find(cell_key(cx + dx, cy + dy));
+      if (it == grid_.end()) continue;
       for (const std::uint32_t idx : it->second) {
         if (idx == center_it->second) continue;
         const NodeId id = radios_[idx]->id();
@@ -415,7 +298,7 @@ std::size_t Channel::index_memory_bytes() const {
   std::size_t bytes = cells_.capacity() * sizeof(RadioMotion) +
                       migrate_heap_.capacity() * sizeof(migrate_heap_[0]) +
                       pair_cache_.capacity() * sizeof(PairEntry);
-  for (const auto& [key, cell] : inc_grid_) {
+  for (const auto& [key, cell] : grid_) {
     bytes += sizeof(key) + cell.capacity() * sizeof(std::uint32_t);
   }
   return bytes;
@@ -462,15 +345,14 @@ std::uint64_t Channel::transmit(Radio* tx, PayloadPtr payload, SimDuration airti
     receivers.push_back(rx);
   };
 
-  const IndexMode mode = effective_mode();
-  if (mode == IndexMode::kIncremental) {
+  if (indexed()) {
     ensure_incremental(start);
     drain_migrations(start);
     // Take the scratch buffer: signal_start below can re-enter transmit(),
     // and the nested call must not rewrite the list this call iterates.
     std::vector<std::uint32_t> candidates = std::move(candidates_scratch_);
     candidates_scratch_ = {};
-    collect_candidates_incremental(tx_pos, candidates);
+    collect_candidates(tx_pos, candidates);
     ++cache_stats_.candidate_sets;
     cache_stats_.candidates_seen += candidates.size();
     receivers.reserve(candidates.size());
@@ -499,8 +381,7 @@ std::uint64_t Channel::transmit(Radio* tx, PayloadPtr payload, SimDuration airti
         continue;
       }
       if (radios_[rx_idx]->in_outage()) continue;  // deaf: no energy arrives
-      double power;
-      if (!pair_power(tx_idx, rx_idx, tx_pos, start, power)) continue;
+      const double power = pair_power(tx_idx, rx_idx, tx_pos, start);
       if (power < cs_threshold) continue;  // inaudible
       audible.emplace_back(rx_idx, power);
     }
@@ -510,35 +391,6 @@ std::uint64_t Channel::transmit(Radio* tx, PayloadPtr payload, SimDuration airti
     }
     audible.clear();
     audible_scratch_ = std::move(audible);
-    candidates.clear();
-    candidates_scratch_ = std::move(candidates);
-  } else if (mode == IndexMode::kRebuild) {
-    std::vector<std::uint32_t> candidates = std::move(candidates_scratch_);
-    candidates_scratch_ = {};
-    if (radios_.size() <= kDirectScanRadios) {
-      // Tiny topology: walking every radio is cheaper than the 3x3 cell
-      // probe, and the per-pair budgets below still come from the cache.
-      // "Every index, attach order" is trivially the grid's superset.
-      for (std::uint32_t i = 0; i < radios_.size(); ++i) candidates.push_back(i);
-    } else {
-      maybe_rebuild_grid(start);
-      collect_candidates(tx_pos, candidates);
-    }
-    ++cache_stats_.candidate_sets;
-    cache_stats_.candidates_seen += candidates.size();
-    receivers.reserve(candidates.size());
-    const std::uint32_t tx_idx = tx->channel_index();
-    const std::uint64_t tx_epoch = positions_.position_epoch(tx_id, start);
-    for (const std::uint32_t rx_idx : candidates) {
-      Radio* rx = radios_[rx_idx];
-      if (rx_idx == tx_idx) continue;
-      if (rx->in_outage()) continue;  // deaf: not even energy arrives
-      const double power = link_power(tx_idx, rx_idx, tx_epoch, tx_pos, start);
-      if (power < cs_threshold) continue;  // inaudible
-      deliver(rx, power);
-    }
-    // Recycle the buffer (the innermost return wins; deeper buffers are
-    // simply dropped — nesting is rare).
     candidates.clear();
     candidates_scratch_ = std::move(candidates);
   } else {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 
 #include "geom/vec2.hpp"
@@ -35,14 +34,10 @@ struct Signal {
   bool corrupted = false;
 };
 
-/// A node's position epoch value meaning "in motion right now": the
-/// position may differ at the very next query, so nothing keyed by the
-/// epoch may be cached.
+/// A motion-segment epoch meaning "no describable segment": the position
+/// may differ at the very next query, so nothing keyed by the epoch may be
+/// cached.
 inline constexpr std::uint64_t kMovingEpoch = ~std::uint64_t{0};
-
-/// Speed bound meaning "unknown": the channel cannot bound how far nodes
-/// drift between queries, so spatial pre-filtering is disabled.
-inline constexpr double kUnboundedSpeed = std::numeric_limits<double>::infinity();
 
 /// One piecewise-linear motion segment of a node: from the query instant
 /// until `until`, the node's true position stays within floating-point
@@ -68,24 +63,9 @@ class PositionProvider {
   virtual ~PositionProvider() = default;
   virtual geom::Vec2 position(NodeId node, SimTime at) const = 0;
 
-  /// Identifies the span of time over which `node`'s position is constant:
-  /// two queries returning the same (non-kMovingEpoch) epoch are guaranteed
-  /// to see the same position, so per-pair link budgets may be cached under
-  /// the epoch pair. Static providers return a constant; waypoint mobility
-  /// returns a fresh value per pause and kMovingEpoch while traveling.
-  /// Like position(), expected to be queried with non-decreasing `at`.
-  virtual std::uint64_t position_epoch(NodeId /*node*/, SimTime /*at*/) const {
-    return kMovingEpoch;
-  }
-
-  /// Upper bound on any node's speed in m/s (0 for static layouts). The
-  /// channel's spatial index uses it to bound how stale its cells can be;
-  /// kUnboundedSpeed (the conservative default) disables the index.
-  virtual double max_speed_mps() const { return kUnboundedSpeed; }
-
   /// True when motion() describes every node's trajectory as piecewise-
   /// linear segments; required by the channel's incremental index. The
-  /// default (false) keeps unknown providers on the rebuild/scan paths.
+  /// default (false) keeps unknown providers on the reference full scan.
   virtual bool piecewise_linear() const { return false; }
 
   /// The motion segment containing `at`. Default: position only, nothing

@@ -413,24 +413,41 @@ struct GridRunResult {
   phy::Channel::CacheStats stats;
 };
 
-GridRunResult run_grid_scenario(phy::Channel::IndexMode mode, bool mobile,
-                                std::uint64_t seed = 5,
+std::vector<geom::Vec2> grid_layout(int side, double spacing_m) {
+  std::vector<geom::Vec2> layout;
+  for (int y = 0; y < side; ++y)
+    for (int x = 0; x < side; ++x) layout.push_back({x * spacing_m, y * spacing_m});
+  return layout;
+}
+
+/// The two sides of the channel's small-network cutoff (16 radios).
+struct Layout {
+  const char* name;
+  std::vector<geom::Vec2> positions;
+  bool small;  // every attach index is a candidate; no cell probe
+};
+
+std::vector<Layout> layouts() {
+  // 5x5 at 300 m: multiple 551 m grid cells, several audible neighbors
+  // per node, some beyond sensing range. 3x3 at 170 m: the degree-8
+  // all-pairs grid, everyone within sensing range of everyone.
+  return {{"5x5@300m", grid_layout(5, 300.0), false},
+          {"3x3@170m", grid_layout(3, 170.0), true}};
+}
+
+GridRunResult run_grid_scenario(phy::Channel::IndexMode mode,
+                                const std::vector<geom::Vec2>& layout,
+                                bool mobile, std::uint64_t seed = 5,
                                 SimDuration pause = 5 * kSecond) {
   sim::Simulator sim;
   phy::Propagation prop(phy::PropagationParams{}, /*shadowing_seed=*/1);
-
-  // 5x5 grid, 300 m spacing: multiple grid cells at the 687.5 m cell size,
-  // several audible neighbors per node, some beyond sensing range.
-  std::vector<geom::Vec2> layout;
-  for (int y = 0; y < 5; ++y)
-    for (int x = 0; x < 5; ++x) layout.push_back({x * 300.0, y * 300.0});
 
   std::unique_ptr<phy::PositionProvider> positions;
   if (mobile) {
     // Compressed-time waypoint motion: fast legs and long pauses so the run
     // actually contains waypoint arrivals, simultaneous pauses (epoch-cache
-    // hits), and enough drift to force grid rebuilds. pause = 0 keeps every
-    // node continuously in motion instead.
+    // hits), and cell crossings. pause = 0 keeps every node continuously in
+    // motion instead.
     net::RandomWaypointParams rwp;
     rwp.width = 600.0;
     rwp.height = 600.0;
@@ -492,81 +509,62 @@ GridRunResult run_grid_scenario(phy::Channel::IndexMode mode, bool mobile,
   return out;
 }
 
-TEST(SpatialIndex, StaticScenarioMatchesFullScanExactly) {
-  const GridRunResult fast =
-      run_grid_scenario(phy::Channel::IndexMode::kRebuild, /*mobile=*/false);
-  const GridRunResult ref =
-      run_grid_scenario(phy::Channel::IndexMode::kFullScan, /*mobile=*/false);
-  EXPECT_EQ(fast.trace, ref.trace);
-  // Identical fault-RNG consumption proves candidates were visited in
-  // attach order — any other order permutes per-receiver fates.
-  EXPECT_EQ(fast.fault_decisions, ref.fault_decisions);
-  // The fast run actually took the fast path, and static link budgets were
-  // computed once: every repeat delivery is a cache hit.
-  EXPECT_EQ(fast.stats.full_scans, 0u);
-  EXPECT_EQ(fast.stats.grid_rebuilds, 1u);
-  EXPECT_GT(fast.stats.link_budget_hits, fast.stats.link_budget_misses);
-  EXPECT_GT(ref.stats.full_scans, 0u);
-}
-
-TEST(SpatialIndex, MobileScenarioMatchesFullScanExactly) {
-  const GridRunResult fast =
-      run_grid_scenario(phy::Channel::IndexMode::kRebuild, /*mobile=*/true);
-  const GridRunResult ref =
-      run_grid_scenario(phy::Channel::IndexMode::kFullScan, /*mobile=*/true);
-  EXPECT_EQ(fast.trace, ref.trace);
-  EXPECT_EQ(fast.fault_decisions, ref.fault_decisions);
-  EXPECT_EQ(fast.stats.full_scans, 0u);
-  // Movement invalidates the grid: it must have been rebuilt along the way.
-  EXPECT_GT(fast.stats.grid_rebuilds, 1u);
-  // Long pauses make some links cacheable even under mobility.
-  EXPECT_GT(fast.stats.link_budget_hits, 0u);
-}
-
 TEST(SpatialIndex, IncrementalStaticMatchesReferenceExactly) {
-  const GridRunResult inc = run_grid_scenario(
-      phy::Channel::IndexMode::kIncremental, /*mobile=*/false);
-  const GridRunResult ref =
-      run_grid_scenario(phy::Channel::IndexMode::kFullScan, /*mobile=*/false);
-  EXPECT_EQ(inc.trace, ref.trace);
-  EXPECT_EQ(inc.fault_decisions, ref.fault_decisions);
-  EXPECT_EQ(inc.stats.full_scans, 0u);
-  EXPECT_EQ(inc.stats.grid_rebuilds, 0u);
-  // Static radios never carry migration deadlines.
-  EXPECT_EQ(inc.stats.cell_migrations, 0u);
-  EXPECT_EQ(inc.stats.migration_checks, 0u);
-  // Parked pairs cache their exact budgets, like the rebuild path.
-  EXPECT_GT(inc.stats.link_budget_hits, inc.stats.link_budget_misses);
+  for (const Layout& layout : layouts()) {
+    SCOPED_TRACE(layout.name);
+    const GridRunResult inc = run_grid_scenario(
+        phy::Channel::IndexMode::kAuto, layout.positions, /*mobile=*/false);
+    const GridRunResult ref = run_grid_scenario(
+        phy::Channel::IndexMode::kFullScan, layout.positions, /*mobile=*/false);
+    EXPECT_EQ(inc.trace, ref.trace);
+    // Identical fault-RNG consumption proves the audible receivers were
+    // delivered in attach order — any other order permutes their fates.
+    EXPECT_EQ(inc.fault_decisions, ref.fault_decisions);
+    EXPECT_EQ(inc.stats.full_scans, 0u);
+    EXPECT_GT(ref.stats.full_scans, 0u);
+    // Static radios never carry migration deadlines.
+    EXPECT_EQ(inc.stats.cell_migrations, 0u);
+    EXPECT_EQ(inc.stats.migration_checks, 0u);
+    // Parked pairs cache their exact budgets: most deliveries are hits.
+    EXPECT_GT(inc.stats.link_budget_hits, inc.stats.link_budget_misses);
+    if (layout.small) {
+      // Every other radio is a candidate of every transmission.
+      EXPECT_EQ(inc.stats.candidates_seen,
+                inc.stats.candidate_sets * layout.positions.size());
+    }
+  }
 }
 
-// The mobility-epoch caching satellite: seed-swept equality of delivery
-// traces and fault decisions (and thus every link-budget comparison)
-// between the incremental index and the retained references, for
-// pausing-waypoint and continuously-moving radios.
+// Seed-swept equality of delivery traces and fault decisions (and thus
+// every link-budget comparison) between the incremental index and the
+// reference scan, for pausing-waypoint and continuously-moving radios.
 TEST(SpatialIndex, IncrementalMobileMatchesReferenceSeedSwept) {
-  for (const std::uint64_t seed : {5ull, 11ull, 23ull}) {
-    for (const SimDuration pause : {5 * kSecond, SimDuration{0}}) {
-      SCOPED_TRACE("seed=" + std::to_string(seed) +
-                   " pause=" + std::to_string(pause));
-      const GridRunResult inc = run_grid_scenario(
-          phy::Channel::IndexMode::kIncremental, /*mobile=*/true, seed, pause);
-      const GridRunResult ref = run_grid_scenario(
-          phy::Channel::IndexMode::kFullScan, /*mobile=*/true, seed, pause);
-      const GridRunResult reb = run_grid_scenario(
-          phy::Channel::IndexMode::kRebuild, /*mobile=*/true, seed, pause);
-      EXPECT_EQ(inc.trace, ref.trace);
-      EXPECT_EQ(inc.fault_decisions, ref.fault_decisions);
-      EXPECT_EQ(reb.trace, ref.trace);
-      EXPECT_EQ(reb.fault_decisions, ref.fault_decisions);
-      EXPECT_EQ(inc.stats.full_scans, 0u);
-      EXPECT_EQ(inc.stats.grid_rebuilds, 0u);
-      // Fast legs across 600 m cross the 551 m cells: migrations happened.
-      EXPECT_GT(inc.stats.cell_migrations, 0u);
-      // Far moving pairs were rejected by the predicted-position prefilter.
-      EXPECT_GT(inc.stats.prefilter_rejects, 0u);
-      if (pause > 0) {
-        // Overlapping pauses make parked pairs exactly cacheable.
-        EXPECT_GT(inc.stats.link_budget_hits, 0u);
+  for (const Layout& layout : layouts()) {
+    for (const std::uint64_t seed : {5ull, 11ull, 23ull}) {
+      for (const SimDuration pause : {5 * kSecond, SimDuration{0}}) {
+        SCOPED_TRACE(std::string(layout.name) + " seed=" +
+                     std::to_string(seed) + " pause=" + std::to_string(pause));
+        const GridRunResult inc =
+            run_grid_scenario(phy::Channel::IndexMode::kAuto, layout.positions,
+                              /*mobile=*/true, seed, pause);
+        const GridRunResult ref =
+            run_grid_scenario(phy::Channel::IndexMode::kFullScan,
+                              layout.positions, /*mobile=*/true, seed, pause);
+        EXPECT_EQ(inc.trace, ref.trace);
+        EXPECT_EQ(inc.fault_decisions, ref.fault_decisions);
+        EXPECT_EQ(inc.stats.full_scans, 0u);
+        if (!layout.small) {
+          // Fast legs across 600 m cross the 551 m cells: migrations
+          // happened.
+          EXPECT_GT(inc.stats.cell_migrations, 0u);
+          // Far moving pairs were rejected by the predicted-position
+          // prefilter.
+          EXPECT_GT(inc.stats.prefilter_rejects, 0u);
+        }
+        if (pause > 0) {
+          // Overlapping pauses make parked pairs exactly cacheable.
+          EXPECT_GT(inc.stats.link_budget_hits, 0u);
+        }
       }
     }
   }

@@ -100,6 +100,9 @@ TEST(ScaleValidation, RejectsDegenerateParameters) {
   expect_throws([](auto& p) { p.max_speed_mps = 0.1; });  // below min speed
   expect_throws([](auto& p) { p.pause_s = -1.0; });
   expect_throws([](auto& p) { p.channel_index = "warp"; });
+  // Retired lookup modes: "auto" is the only indexed path.
+  expect_throws([](auto& p) { p.channel_index = "rebuild"; });
+  expect_throws([](auto& p) { p.channel_index = "incremental"; });
 }
 
 TEST(TopologyValidation, RejectsOverflowAndDegenerateInputs) {
@@ -214,7 +217,6 @@ TEST(ScaleMemory, PerNodeRetentionStaysUnderBudget) {
   params.nodes = 200;
   params.sim_seconds = 20.0;
   params.seed = 3;
-  params.channel_index = "incremental";
   params.timeline_retention_s = 0.5;
   params.timeline_max_transitions = 512;
 
@@ -246,8 +248,7 @@ TEST(ScaleMemory, PerNodeRetentionStaysUnderBudget) {
   }
   EXPECT_TRUE(some_node_pruned);  // the run actually generated history
 
-  // Channel index + pair cache: bounded per node (the pre-PR-9 rebuild
-  // cache was O(N^2); the incremental one must stay O(N)).
+  // Channel index + pair cache: bounded per node, O(N) overall.
   EXPECT_LE(net.channel().index_memory_bytes(), net.size() * std::size_t{32768});
 }
 
