@@ -187,6 +187,21 @@ TEST(Golden, LossyWithOutage) {
             "464fa4c9f08e2680b841e0d22f3e3a24");
 }
 
+TEST(Golden, Table1LossyWithOutage) {
+  // The 56-radio Table-1 grid (above the channel's small-network cutoff,
+  // so the cell probe serves every transmission) with saturated drop-tail
+  // queues, i.i.d. loss and corruption, and one radio deaf mid-run.
+  MultiDetectionConfig cfg = fig5_config(0.0);
+  cfg.scenario.sim_seconds = 20;
+  cfg.rate_pps = 1024.0;
+  cfg.scenario.faults.loss_probability = 0.10;
+  cfg.scenario.faults.corrupt_probability = 0.03;
+  cfg.scenario.faults.outages.push_back(
+      {.node = 20, .start = 8 * kSecond, .stop = 10 * kSecond});
+  EXPECT_EQ(golden_digest(cfg),
+            "1f2a131fa8e5da62e30807a2fbc25187");
+}
+
 TEST(Golden, Sybil) {
   MultiDetectionConfig cfg = tiny_config(30, 29);
   cfg.pm = 0;
