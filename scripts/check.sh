@@ -44,8 +44,15 @@ same_across_threads fig5d_detection_mobile fig5d --pms=50 \
 same_across_threads fig_allpairs_monitoring deg8 --grid_spacing=170 \
     --loads=0.6 --pms=0,50 --sim_time=20 --runs=2
 # The receiver-lookup index is a lookup strategy, never a physics change:
-# the mobile sweep (cell probe) and the 9-radio degree-8 all-pairs sweep
-# (every radio a candidate) must match the always-exact full scan.
+# the 56-radio Table-1 sweep (cell probe, static audible lists), the mobile
+# sweep (cell probe, moving radios) and the 9-radio degree-8 all-pairs
+# sweep (every radio a candidate) must match the always-exact full scan.
+./build/bench/fig6_misdiagnosis_static --loads=0.6 --sample_sizes=10,25 \
+    --sim_time=20 --runs=2 --threads=4 --channel_index=scan \
+    --json="$smoke_dir/fig6_scan.json" >/dev/null
+diff <(strip_timing "$smoke_dir/fig6_t1.json") \
+     <(strip_timing "$smoke_dir/fig6_scan.json") \
+  || { echo "Table-1 fig6 output differs between the index and the full scan"; exit 1; }
 ./build/bench/fig5d_detection_mobile --pms=50 --sample_sizes=10,25 \
     --sim_time=40 --runs=2 --threads=4 --channel_index=scan \
     --json="$smoke_dir/fig5d_scan.json" >/dev/null

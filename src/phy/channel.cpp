@@ -189,6 +189,8 @@ void Channel::ensure_incremental(SimTime now) {
   migrate_heap_.clear();
   cells_.assign(radios_.size(), RadioMotion{});
   pair_cache_.assign(pair_cache_capacity(radios_.size()), PairEntry{});
+  static_layout_.reset();
+  audible_lists_.clear();
   for (std::uint32_t i = 0; i < radios_.size(); ++i) {
     rebucket(i, now, /*initial=*/true);
   }
@@ -207,10 +209,30 @@ void Channel::drain_migrations(SimTime now) {
   }
 }
 
+bool Channel::static_layout() {
+  // Only drain_migrations() pushes deadlines, and only while popping one,
+  // so once the heap is empty it stays empty until ensure_incremental()
+  // rebuilds the index: the classification below is final.
+  if (!migrate_heap_.empty()) return false;
+  if (!static_layout_) {
+    // A radio can leave the heap while still (imperceptibly slowly) moving
+    // when its cell exit lies beyond the representable horizon; only a
+    // layout where every radio is parked on a described segment is frozen.
+    static_layout_ = std::all_of(cells_.begin(), cells_.end(),
+                                 [](const RadioMotion& rm) {
+                                   return rm.epoch != kMovingEpoch &&
+                                          rm.velocity.x == 0.0 &&
+                                          rm.velocity.y == 0.0;
+                                 });
+    if (*static_layout_) audible_lists_.assign(radios_.size(), AudibleList{});
+  }
+  return *static_layout_;
+}
+
 void Channel::collect_candidates(const geom::Vec2& tx_pos,
                                  std::vector<std::uint32_t>& out) const {
-  // Unsorted: transmit() orders the (much smaller) audible subset before
-  // delivering, which is where attach order actually matters.
+  // Unsorted: collect_audible() orders the (much smaller) audible subset,
+  // which is where attach order actually matters.
   out.clear();
   if (radios_.size() <= kDirectScanRadios) {
     for (std::uint32_t i = 0; i < radios_.size(); ++i) out.push_back(i);
@@ -237,7 +259,7 @@ double Channel::pair_power(std::uint32_t tx_idx, std::uint32_t rx_idx,
                       lm.velocity.x == 0.0 && lm.velocity.y == 0.0 &&
                       hm.velocity.x == 0.0 && hm.velocity.y == 0.0;
   if (!parked) {
-    // A moving endpoint: the predicted-position prefilter in transmit()
+    // A moving endpoint: collect_audible()'s predicted-position prefilter
     // already rejected the far pairs, so nearly every pair reaching here
     // needs its exact power anyway — a cache probe would be pure overhead.
     // Exact power from exact positions, like the reference scan.
@@ -260,6 +282,40 @@ double Channel::pair_power(std::uint32_t tx_idx, std::uint32_t rx_idx,
       tx_pos, positions_.position(radios_[rx_idx]->id(), at));
   e = PairEntry{key, lm.epoch, hm.epoch, power};
   return power;
+}
+
+void Channel::collect_audible(std::uint32_t tx_idx, const geom::Vec2& tx_pos,
+                              SimTime at, std::vector<AudibleLink>& out) {
+  collect_candidates(tx_pos, candidates_scratch_);
+  ++cache_stats_.candidate_sets;
+  cache_stats_.candidates_seen += candidates_scratch_.size();
+  out.clear();
+  const double cs_threshold = prop_.cs_threshold_dbm();
+  const double now_s = time_to_seconds(at);
+  for (const std::uint32_t rx_idx : candidates_scratch_) {
+    if (rx_idx == tx_idx) continue;
+    // Predicted-position prefilter: drain_migrations() guarantees every
+    // radio's recorded motion segment covers `at`, so ref + v*dt is the
+    // candidate's position up to FP rounding. Beyond the slacked limit the
+    // pair is provably inaudible without touching the radio, the pair
+    // cache, or the position provider.
+    const RadioMotion& rm = cells_[rx_idx];
+    const double dt = now_s - rm.ref_t_s;
+    const double px = rm.ref_pos.x + rm.velocity.x * dt - tx_pos.x;
+    const double py = rm.ref_pos.y + rm.velocity.y * dt - tx_pos.y;
+    if (px * px + py * py > predict_limit_sq_) {
+      ++cache_stats_.prefilter_rejects;
+      continue;
+    }
+    const double power = pair_power(tx_idx, rx_idx, tx_pos, at);
+    if (power < cs_threshold) continue;  // inaudible
+    out.push_back(AudibleLink{rx_idx, power});
+  }
+  // Power evaluation draws no randomness, so candidate order is free; only
+  // the audible subset must be delivered in attach order (the fault RNG
+  // stream is consumed per delivery, like the reference full scan).
+  std::sort(out.begin(), out.end(),
+            [](const AudibleLink& a, const AudibleLink& b) { return a.rx < b.rx; });
 }
 
 // ---------------------------------------------------------------------------
@@ -297,9 +353,13 @@ bool Channel::radios_within(NodeId center, double range_m, SimTime at,
 std::size_t Channel::index_memory_bytes() const {
   std::size_t bytes = cells_.capacity() * sizeof(RadioMotion) +
                       migrate_heap_.capacity() * sizeof(migrate_heap_[0]) +
-                      pair_cache_.capacity() * sizeof(PairEntry);
+                      pair_cache_.capacity() * sizeof(PairEntry) +
+                      audible_lists_.capacity() * sizeof(AudibleList);
   for (const auto& [key, cell] : grid_) {
     bytes += sizeof(key) + cell.capacity() * sizeof(std::uint32_t);
+  }
+  for (const AudibleList& list : audible_lists_) {
+    bytes += list.links.capacity() * sizeof(AudibleLink);
   }
   return bytes;
 }
@@ -313,7 +373,6 @@ std::uint64_t Channel::transmit(Radio* tx, PayloadPtr payload, SimDuration airti
   // The fault RNG stream is consumed only for enabled plans, keeping
   // fault-free runs bit-identical to a build without the injector.
   const bool faulty = faults_ != nullptr && faults_->enabled();
-  const double cs_threshold = prop_.cs_threshold_dbm();
   const double base_rx_threshold = prop_.rx_threshold_dbm();
   const double capture_db = prop_.params().capture_threshold_db;
 
@@ -323,8 +382,12 @@ std::uint64_t Channel::transmit(Radio* tx, PayloadPtr payload, SimDuration airti
     receiver_pool_.pop_back();
   }
 
+  // One Signal per transmission; each receiver sees it with its own power
+  // (radios copy it only when they lock onto the frame).
+  Signal signal{id, tx_id, std::move(payload), start, end, 0.0};
   auto deliver = [&](Radio* rx, double power) {
-    Signal signal{id, tx_id, payload, start, end, power};
+    receivers.push_back(rx);
+    signal.rx_power_dbm = power;
     double rx_threshold = base_rx_threshold;
     if (faulty && power >= rx_threshold) {
       switch (faults_->decode_fate(tx_id, rx->id())) {
@@ -335,68 +398,59 @@ std::uint64_t Channel::transmit(Radio* tx, PayloadPtr payload, SimDuration airti
           // the monitor's undecodable-busy case, now on demand.
           rx_threshold = std::numeric_limits<double>::infinity();
           break;
-        case DecodeFate::kCorrupted:
-          signal.payload = faults_->corrupt_payload(payload);
-          signal.corrupted = true;
-          break;
+        case DecodeFate::kCorrupted: {
+          // Damaged bits are this receiver's alone: its own copy.
+          Signal damaged = signal;
+          damaged.payload = faults_->corrupt_payload(signal.payload);
+          damaged.corrupted = true;
+          rx->signal_start(damaged, rx_threshold, capture_db);
+          return;
+        }
       }
     }
     rx->signal_start(signal, rx_threshold, capture_db);
-    receivers.push_back(rx);
   };
 
   if (indexed()) {
     ensure_incremental(start);
     drain_migrations(start);
-    // Take the scratch buffer: signal_start below can re-enter transmit(),
-    // and the nested call must not rewrite the list this call iterates.
-    std::vector<std::uint32_t> candidates = std::move(candidates_scratch_);
-    candidates_scratch_ = {};
-    collect_candidates(tx_pos, candidates);
-    ++cache_stats_.candidate_sets;
-    cache_stats_.candidates_seen += candidates.size();
-    receivers.reserve(candidates.size());
     const std::uint32_t tx_idx = tx->channel_index();
-    // Power evaluation draws no randomness, so candidate order is free;
-    // only the audible subset must be delivered in attach order (the fault
-    // RNG stream is consumed per delivery, like the reference full scan).
-    std::vector<std::pair<std::uint32_t, double>> audible =
-        std::move(audible_scratch_);
-    audible_scratch_ = {};
-    audible.clear();
-    const double now_s = time_to_seconds(start);
-    for (const std::uint32_t rx_idx : candidates) {
-      if (rx_idx == tx_idx) continue;
-      // Predicted-position prefilter: drain_migrations() above guarantees
-      // every radio's recorded motion segment covers `start`, so ref + v*dt
-      // is the candidate's position up to FP rounding. Beyond the slacked
-      // limit the pair is provably inaudible without touching the radio,
-      // the pair cache, or the position provider.
-      const RadioMotion& rm = cells_[rx_idx];
-      const double dt = now_s - rm.ref_t_s;
-      const double px = rm.ref_pos.x + rm.velocity.x * dt - tx_pos.x;
-      const double py = rm.ref_pos.y + rm.velocity.y * dt - tx_pos.y;
-      if (px * px + py * py > predict_limit_sq_) {
-        ++cache_stats_.prefilter_rejects;
-        continue;
+    if (static_layout()) {
+      // Positions can never change again: the transmitter's audible list,
+      // built once, is exactly what the candidate path would produce now.
+      AudibleList& list = audible_lists_[tx_idx];
+      const bool cached = list.built;
+      if (!cached) {
+        collect_audible(tx_idx, tx_pos, start, list.links);
+        list.built = true;
       }
-      if (radios_[rx_idx]->in_outage()) continue;  // deaf: no energy arrives
-      const double power = pair_power(tx_idx, rx_idx, tx_pos, start);
-      if (power < cs_threshold) continue;  // inaudible
-      audible.emplace_back(rx_idx, power);
+      receivers.reserve(list.links.size());
+      for (const AudibleLink& link : list.links) {
+        Radio* rx = radios_[link.rx];
+        if (rx->in_outage()) continue;  // deaf: no energy arrives
+        if (cached) ++cache_stats_.link_budget_hits;
+        deliver(rx, link.power_dbm);
+      }
+    } else {
+      // Take the scratch buffer: signal_start below can re-enter transmit(),
+      // and the nested call must not rewrite the list this call iterates.
+      std::vector<AudibleLink> audible = std::move(audible_scratch_);
+      audible_scratch_ = {};
+      collect_audible(tx_idx, tx_pos, start, audible);
+      receivers.reserve(audible.size());
+      for (const AudibleLink& link : audible) {
+        Radio* rx = radios_[link.rx];
+        if (rx->in_outage()) continue;  // deaf: no energy arrives
+        deliver(rx, link.power_dbm);
+      }
+      audible.clear();
+      audible_scratch_ = std::move(audible);
     }
-    std::sort(audible.begin(), audible.end());
-    for (const auto& [rx_idx, power] : audible) {
-      deliver(radios_[rx_idx], power);
-    }
-    audible.clear();
-    audible_scratch_ = std::move(audible);
-    candidates.clear();
-    candidates_scratch_ = std::move(candidates);
   } else {
     // Reference path: exact original full scan (also the only correct path
     // under shadowing, where every delivery draws a shadowing deviate).
     ++cache_stats_.full_scans;
+    const double cs_threshold = prop_.cs_threshold_dbm();
     receivers.reserve(radios_.size());
     for (Radio* rx : radios_) {
       if (rx == tx) continue;

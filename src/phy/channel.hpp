@@ -24,6 +24,11 @@
 //    query — a far mover costs two fused multiply-adds. Pairs with both
 //    endpoints parked go through a bounded direct-mapped cache keyed by the
 //    endpoints' motion-segment epochs holding the exact link budget.
+//    Once no radio carries a migration deadline and every radio is parked
+//    (a static layout: nothing can move again), each transmitter keeps
+//    its audible list — (receiver, exact power) in attach order, built by
+//    the path above on its first transmission — and later transmissions
+//    deliver straight from it.
 //  * kFullScan: the original reference scan over every radio.
 //
 // Both paths are exact (never approximate): the grid and the prefilter are
@@ -37,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -98,20 +104,25 @@ class Channel {
                      std::vector<NodeId>& out);
 
   struct CacheStats {
-    std::uint64_t link_budget_hits = 0;    // exact cached power reused
+    // Exact cached power reused: a parked pair's cache hit, or a delivery
+    // served from a static layout's audible list.
+    std::uint64_t link_budget_hits = 0;
     std::uint64_t link_budget_misses = 0;  // power computed from positions
     std::uint64_t full_scans = 0;  // transmissions served by the slow path
     // Incremental index:
     std::uint64_t cell_migrations = 0;   // radio re-bucketed to a new cell
     std::uint64_t migration_checks = 0;  // deadline pops (incl. same-cell)
+    // The candidate path (cell probe or small-network walk). In a static
+    // layout it runs once per transmitter, to build its audible list.
     std::uint64_t prefilter_rejects = 0; // candidates dropped by prediction
-    std::uint64_t candidate_sets = 0;    // grid-served transmissions
+    std::uint64_t candidate_sets = 0;    // candidate sets collected
     std::uint64_t candidates_seen = 0;   // sum of candidate-set sizes
   };
   const CacheStats& cache_stats() const { return cache_stats_; }
 
-  /// Retained bytes of the incremental index + pair cache (bounded by
-  /// construction; the memory-ceiling test reads this).
+  /// Retained bytes of the incremental index, the pair cache and the
+  /// audible lists (bounded by construction; the memory-ceiling test reads
+  /// this).
   std::size_t index_memory_bytes() const;
 
  private:
@@ -119,9 +130,9 @@ class Channel {
   /// segment, and the next deadline at which the cell must be re-checked
   /// (kTimeNever for static radios — they never re-enter the heap).
   /// ref_pos/ref_t_s pin the segment's exact position at the last rebucket
-  /// so transmit() can predict a candidate's position (ref + v*dt) without
-  /// a provider query; the prediction differs from the provider's doubles
-  /// only by FP rounding, absorbed by the prefilter's 1 m slack.
+  /// so collect_audible() can predict a candidate's position (ref + v*dt)
+  /// without a provider query; the prediction differs from the provider's
+  /// doubles only by FP rounding, absorbed by the prefilter's 1 m slack.
   struct RadioMotion {
     std::int32_t cx = 0;
     std::int32_t cy = 0;
@@ -141,6 +152,22 @@ class Channel {
     std::uint64_t lo_epoch = kMovingEpoch;
     std::uint64_t hi_epoch = kMovingEpoch;
     double power_dbm = 0.0;
+  };
+
+  /// One audible receiver of a transmission: attach index and the exact
+  /// received power.
+  struct AudibleLink {
+    std::uint32_t rx = 0;
+    double power_dbm = 0.0;
+  };
+
+  /// A transmitter's audible list in a static layout: every radio at or
+  /// above the carrier-sense threshold, in attach order, including radios
+  /// that were in outage when it was built (transmit() skips them while
+  /// they are deaf).
+  struct AudibleList {
+    std::vector<AudibleLink> links;
+    bool built = false;
   };
 
   static std::uint64_t cell_key(std::int32_t cx, std::int32_t cy) {
@@ -164,10 +191,18 @@ class Channel {
   SimTime next_due(const MotionState& m, std::int32_t cx, std::int32_t cy,
                    SimTime now) const;
   void heap_push(SimTime due, std::uint32_t idx);
+  /// True when no radio can ever move again (the migration heap is empty
+  /// and every radio is parked); sizes the audible lists the first time.
+  bool static_layout();
   /// Fills `out` with the radios that may hear a transmitter at `tx_pos`,
   /// in no particular order.
   void collect_candidates(const geom::Vec2& tx_pos,
                           std::vector<std::uint32_t>& out) const;
+  /// Fills `out` with every radio (deaf ones included) that hears the
+  /// transmitter `tx_idx` at or above the carrier-sense threshold, in
+  /// attach order. Runs no radio callbacks.
+  void collect_audible(std::uint32_t tx_idx, const geom::Vec2& tx_pos,
+                       SimTime at, std::vector<AudibleLink>& out);
   /// The exact received power of a pair, through the pair cache when both
   /// endpoints are parked (the caller still applies the carrier-sense
   /// threshold, as the full scan does).
@@ -195,15 +230,24 @@ class Channel {
   std::vector<std::pair<SimTime, std::uint32_t>> migrate_heap_;
   std::vector<PairEntry> pair_cache_;  // power-of-two, direct-mapped
 
-  // Recycled candidate buffer. transmit() *takes* it (swap) rather than
-  // iterating the member directly: delivering a signal can synchronously
-  // re-enter transmit() (a MAC responding from a capture-induced receive
-  // error), and a nested call must not clobber the list the outer call is
-  // still walking. The nested call simply starts from an empty vector.
+  // Static layouts: static_layout_ is nullopt until static_layout() has
+  // classified the layout; audible_lists_ holds one list per transmitter
+  // attach index, sized once by static_layout(). ensure_incremental resets
+  // both. Delivering a signal can synchronously re-enter transmit() (a
+  // listener answering a carrier edge), but the nested call never touches
+  // the list the outer call is walking: the outer transmitter cannot
+  // transmit again while on air, and building another transmitter's list
+  // never reallocates this vector.
+  std::optional<bool> static_layout_;
+  std::vector<AudibleList> audible_lists_;
+  // Recycled candidate buffer; collect_audible consumes it before any
+  // delivery, so re-entry cannot observe it.
   std::vector<std::uint32_t> candidates_scratch_;
-  // Recycled audible (rx index, power) buffer; same take-by-swap discipline
-  // as candidates_scratch_.
-  std::vector<std::pair<std::uint32_t, double>> audible_scratch_;
+  // Recycled audible buffer of mobile layouts. transmit() *takes* it (swap)
+  // rather than iterating the member directly: a nested transmit() from a
+  // receiver must not clobber the list the outer call is still walking.
+  // The nested call simply starts from an empty vector.
+  std::vector<AudibleLink> audible_scratch_;
   // Recycled receiver lists: each transmission hands its audible-receiver
   // list to the end-of-air event, which returns the emptied vector here
   // instead of freeing it — one malloc/free pair per transmission saved.

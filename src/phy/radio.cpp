@@ -39,7 +39,7 @@ void Radio::set_outage(bool deaf) {
 void Radio::signal_start(const Signal& signal, double rx_threshold_dbm,
                          double capture_threshold_db) {
   if (outage_) return;  // deaf: not even energy
-  incident_.push_back(signal);
+  incident_.push_back(Incident{signal.id, signal.rx_power_dbm});
 
   if (transmitting_) {
     // Half duplex: we cannot decode anything while transmitting; the energy
@@ -56,7 +56,7 @@ void Radio::signal_start(const Signal& signal, double rx_threshold_dbm,
   } else if (signal.rx_power_dbm >= rx_threshold_dbm) {
     // Lock onto this frame if no comparable interference is already present.
     bool blocked = false;
-    for (const Signal& s : incident_) {
+    for (const Incident& s : incident_) {
       if (s.id == signal.id) continue;
       if (s.rx_power_dbm > signal.rx_power_dbm - capture_threshold_db) {
         blocked = true;
@@ -76,13 +76,16 @@ void Radio::signal_end(std::uint64_t signal_id) {
     if (it->id == signal_id) break;
   }
   if (it == incident_.end()) return;  // outage wiped it; nothing to finish
-  const Signal signal = std::move(*it);
-  incident_.erase(it);
+  *it = incident_.back();
+  incident_.pop_back();
 
-  if (receiving_ && signal.id == rx_signal_.id) {
+  if (receiving_ && signal_id == rx_signal_.id) {
     receiving_ = false;
     const bool ok = !rx_corrupted_ && !transmitting_;
     rx_corrupted_ = false;
+    // Hand out a local: a listener may transmit from the callback, and
+    // nothing it sets off may disturb the frame being reported.
+    const Signal signal = std::move(rx_signal_);
     if (ok) {
       for (auto* l : listeners_) l->on_receive(signal);
     } else {

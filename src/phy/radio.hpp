@@ -70,10 +70,13 @@ class Radio {
   /// a transmitting radio to its grid/cache row without a hash lookup.
   void set_channel_index(std::uint32_t index) { channel_index_ = index; }
   std::uint32_t channel_index() const { return channel_index_; }
+  /// Starts receiving `signal` (read during the call only: the radio keeps
+  /// its id and power, and copies the whole signal only when it locks onto
+  /// the frame).
   void signal_start(const Signal& signal, double rx_threshold_dbm,
                     double capture_threshold_db);
-  /// Ends the previously-started signal `id`. The radio finishes with its
-  /// own stored copy of the delivery (the channel does not need to retain
+  /// Ends the previously-started signal `id`. A locked frame is handed to
+  /// the listeners from the radio's own copy (the channel does not retain
   /// per-receiver signals until end-of-air). A no-op when the signal is no
   /// longer tracked (an outage wiped it), matching the outage semantics:
   /// a deaf radio saw the energy vanish already.
@@ -88,15 +91,22 @@ class Radio {
   std::uint32_t channel_index_ = 0;
   std::vector<RadioListener*> listeners_;
 
-  // Audible signals. A flat vector: concurrent in-flight signals at one
-  // receiver are few (bounded by simultaneous transmitters in CS range),
-  // so linear scans beat a hash map and per-delivery rehashing.
-  std::vector<Signal> incident_;
+  /// What the radio keeps of an audible in-flight signal.
+  struct Incident {
+    std::uint64_t id = 0;
+    double rx_power_dbm = 0.0;
+  };
+
+  // Audible signals, unordered (every use is an any-of or a lookup by id).
+  // A flat vector: concurrent in-flight signals at one receiver are few
+  // (bounded by simultaneous transmitters in CS range), so linear scans
+  // beat a hash map and per-delivery rehashing.
+  std::vector<Incident> incident_;
   bool transmitting_ = false;
   bool last_carrier_ = false;
   bool outage_ = false;
 
-  // Reception lock state.
+  // Reception lock state: the locked frame's full signal.
   bool receiving_ = false;
   Signal rx_signal_;
   bool rx_corrupted_ = false;

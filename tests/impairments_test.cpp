@@ -397,20 +397,36 @@ TEST(Monitor, DecodedHistoryStaysBounded) {
 struct DeliveryTrace : phy::RadioListener {
   // (time, kind, signal id): kind 0=carrier-off 1=carrier-on 2=rx 3=rx-error.
   std::vector<std::tuple<SimTime, int, std::uint64_t>> events;
+  // When set, the listener answers synchronously, up to `budget` times:
+  // from a carrier-busy edge (fired inside Channel::transmit while it walks
+  // its receivers) and from a reception error (fired by the end-of-air
+  // walk). Each answer is a short transmission of its own radio.
+  phy::Radio* reentrant = nullptr;
+  int budget = 0;
+
   void on_carrier(bool busy, SimTime at) override {
     events.emplace_back(at, busy ? 1 : 0, 0);
+    if (busy) answer();
   }
   void on_receive(const phy::Signal& s) override { events.emplace_back(s.end, 2, s.id); }
   void on_receive_error(const phy::Signal& s) override {
     events.emplace_back(s.end, 3, s.id);
+    answer();
   }
   void on_transmit_end(std::uint64_t) override {}
+
+  void answer() {
+    if (reentrant == nullptr || budget == 0 || reentrant->transmitting()) return;
+    --budget;
+    reentrant->transmit(std::make_shared<const mac::Frame>(), 100 * kMicrosecond);
+  }
 };
 
 struct GridRunResult {
   std::vector<std::tuple<SimTime, int, std::uint64_t>> trace;  // all nodes, merged
   std::uint64_t fault_decisions = 0;
   phy::Channel::CacheStats stats;
+  int answers = 0;  // synchronous transmissions of reentrant listeners
 };
 
 std::vector<geom::Vec2> grid_layout(int side, double spacing_m) {
@@ -435,10 +451,22 @@ std::vector<Layout> layouts() {
           {"3x3@170m", grid_layout(3, 170.0), true}};
 }
 
+constexpr int kAnswerBudget = 40;
+
+struct GridRunOptions {
+  bool mobile = false;
+  std::uint64_t seed = 5;
+  SimDuration pause = 5 * kSecond;
+  // Odd-numbered radios answer their carrier and error callbacks with
+  // synchronous transmissions (see DeliveryTrace).
+  bool reentrant = false;
+  phy::FaultPlan::Outage outage{7, 2 * kSecond, 5 * kSecond};
+};
+
 GridRunResult run_grid_scenario(phy::Channel::IndexMode mode,
                                 const std::vector<geom::Vec2>& layout,
-                                bool mobile, std::uint64_t seed = 5,
-                                SimDuration pause = 5 * kSecond) {
+                                const GridRunOptions& options) {
+  const bool mobile = options.mobile;
   sim::Simulator sim;
   phy::Propagation prop(phy::PropagationParams{}, /*shadowing_seed=*/1);
 
@@ -453,8 +481,9 @@ GridRunResult run_grid_scenario(phy::Channel::IndexMode mode,
     rwp.height = 600.0;
     rwp.min_speed = 100.0;
     rwp.max_speed = 200.0;
-    rwp.pause = pause;
-    positions = std::make_unique<net::RandomWaypoint>(layout, rwp, seed);
+    rwp.pause = options.pause;
+    positions =
+        std::make_unique<net::RandomWaypoint>(layout, rwp, options.seed);
   } else {
     positions = std::make_unique<net::StaticMobility>(layout);
   }
@@ -468,12 +497,16 @@ GridRunResult run_grid_scenario(phy::Channel::IndexMode mode,
     radios.push_back(std::make_unique<phy::Radio>(i, channel));
     traces.push_back(std::make_unique<DeliveryTrace>());
     radios.back()->add_listener(traces.back().get());
+    if (options.reentrant && i % 2 == 1) {
+      traces.back()->reentrant = radios.back().get();
+      traces.back()->budget = kAnswerBudget;
+    }
   }
 
   phy::FaultPlan plan;
   plan.loss_probability = 0.3;
   plan.corrupt_probability = 0.2;
-  plan.outages.push_back({7, 2 * kSecond, 5 * kSecond});
+  plan.outages.push_back(options.outage);
   phy::FaultInjector injector(plan, 9);
   channel.install_faults(injector);
 
@@ -500,6 +533,9 @@ GridRunResult run_grid_scenario(phy::Channel::IndexMode mode,
   GridRunResult out;
   out.fault_decisions = injector.decisions();
   out.stats = channel.cache_stats();
+  for (const auto& t : traces) {
+    if (t->reentrant != nullptr) out.answers += kAnswerBudget - t->budget;
+  }
   for (std::size_t i = 0; i < traces.size(); ++i) {
     for (const auto& e : traces[i]->events) {
       out.trace.emplace_back(std::get<0>(e), std::get<1>(e) + 10 * static_cast<int>(i),
@@ -513,9 +549,9 @@ TEST(SpatialIndex, IncrementalStaticMatchesReferenceExactly) {
   for (const Layout& layout : layouts()) {
     SCOPED_TRACE(layout.name);
     const GridRunResult inc = run_grid_scenario(
-        phy::Channel::IndexMode::kAuto, layout.positions, /*mobile=*/false);
+        phy::Channel::IndexMode::kAuto, layout.positions, {});
     const GridRunResult ref = run_grid_scenario(
-        phy::Channel::IndexMode::kFullScan, layout.positions, /*mobile=*/false);
+        phy::Channel::IndexMode::kFullScan, layout.positions, {});
     EXPECT_EQ(inc.trace, ref.trace);
     // Identical fault-RNG consumption proves the audible receivers were
     // delivered in attach order — any other order permutes their fates.
@@ -527,11 +563,38 @@ TEST(SpatialIndex, IncrementalStaticMatchesReferenceExactly) {
     EXPECT_EQ(inc.stats.migration_checks, 0u);
     // Parked pairs cache their exact budgets: most deliveries are hits.
     EXPECT_GT(inc.stats.link_budget_hits, inc.stats.link_budget_misses);
+    // The audible lists engaged: candidates are collected at most once per
+    // transmitter, to build its list.
+    EXPECT_LE(inc.stats.candidate_sets, layout.positions.size());
     if (layout.small) {
       // Every other radio is a candidate of every transmission.
       EXPECT_EQ(inc.stats.candidates_seen,
                 inc.stats.candidate_sets * layout.positions.size());
     }
+  }
+}
+
+// Listeners transmit synchronously from inside the channel's delivery
+// walks, so a nested Channel::transmit runs while the outer one is still
+// walking a cached audible list (the re-entry channel.hpp documents). One
+// radio is deaf from the start, so lists are also built around an outage.
+TEST(SpatialIndex, ReentrantListenersMatchReferenceExactly) {
+  for (const Layout& layout : layouts()) {
+    SCOPED_TRACE(layout.name);
+    GridRunOptions options;
+    options.reentrant = true;
+    options.outage = {7, 0, 3 * kSecond};
+    const GridRunResult inc = run_grid_scenario(
+        phy::Channel::IndexMode::kAuto, layout.positions, options);
+    const GridRunResult ref = run_grid_scenario(
+        phy::Channel::IndexMode::kFullScan, layout.positions, options);
+    EXPECT_EQ(inc.trace, ref.trace);
+    EXPECT_EQ(inc.fault_decisions, ref.fault_decisions);
+    EXPECT_GT(inc.answers, 0);
+    EXPECT_EQ(inc.answers, ref.answers);
+    EXPECT_EQ(inc.stats.full_scans, 0u);
+    EXPECT_LE(inc.stats.candidate_sets, layout.positions.size());
+    EXPECT_GT(inc.stats.link_budget_hits, inc.stats.link_budget_misses);
   }
 }
 
@@ -544,12 +607,11 @@ TEST(SpatialIndex, IncrementalMobileMatchesReferenceSeedSwept) {
       for (const SimDuration pause : {5 * kSecond, SimDuration{0}}) {
         SCOPED_TRACE(std::string(layout.name) + " seed=" +
                      std::to_string(seed) + " pause=" + std::to_string(pause));
-        const GridRunResult inc =
-            run_grid_scenario(phy::Channel::IndexMode::kAuto, layout.positions,
-                              /*mobile=*/true, seed, pause);
-        const GridRunResult ref =
-            run_grid_scenario(phy::Channel::IndexMode::kFullScan,
-                              layout.positions, /*mobile=*/true, seed, pause);
+        const GridRunOptions options{.mobile = true, .seed = seed, .pause = pause};
+        const GridRunResult inc = run_grid_scenario(
+            phy::Channel::IndexMode::kAuto, layout.positions, options);
+        const GridRunResult ref = run_grid_scenario(
+            phy::Channel::IndexMode::kFullScan, layout.positions, options);
         EXPECT_EQ(inc.trace, ref.trace);
         EXPECT_EQ(inc.fault_decisions, ref.fault_decisions);
         EXPECT_EQ(inc.stats.full_scans, 0u);

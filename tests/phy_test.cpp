@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "phy/channel.hpp"
 #include "phy/cs_timeline.hpp"
+#include "phy/impairments.hpp"
 #include "phy/joint_tracker.hpp"
 #include "phy/propagation.hpp"
 #include "phy/radio.hpp"
@@ -22,26 +25,39 @@ PayloadPtr payload() { return std::make_shared<const DummyPayload>(); }
 struct Recorder : RadioListener {
   std::vector<std::pair<bool, SimTime>> carrier;
   std::vector<Signal> received;
+  std::vector<Signal> failed;
   int errors = 0;
   int tx_ends = 0;
 
   void on_carrier(bool busy, SimTime at) override { carrier.push_back({busy, at}); }
   void on_receive(const Signal& s) override { received.push_back(s); }
-  void on_receive_error(const Signal&) override { ++errors; }
+  void on_receive_error(const Signal& s) override {
+    failed.push_back(s);
+    ++errors;
+  }
   void on_transmit_end(std::uint64_t) override { ++tx_ends; }
 };
 
-/// Fixed positions for a handful of radios.
+/// Fixed positions for a handful of radios. By default the provider
+/// describes no motion, so the channel takes its reference full scan;
+/// `frozen` declares every radio parked forever, which lets the channel
+/// serve transmissions from its static-layout audible lists.
 struct FixedPositions : PositionProvider {
-  explicit FixedPositions(std::vector<geom::Vec2> p) : pos(std::move(p)) {}
+  FixedPositions(std::vector<geom::Vec2> p, bool frozen)
+      : pos(std::move(p)), frozen(frozen) {}
   std::vector<geom::Vec2> pos;
+  bool frozen;
   geom::Vec2 position(NodeId node, SimTime) const override { return pos.at(node); }
+  bool piecewise_linear() const override { return frozen; }
+  MotionState motion(NodeId node, SimTime) const override {
+    return MotionState{pos.at(node), geom::Vec2{0.0, 0.0}, kTimeNever, 0};
+  }
 };
 
 struct PhyFixture {
   explicit PhyFixture(std::vector<geom::Vec2> layout,
-                      PropagationParams params = {})
-      : prop(params, /*shadowing_seed=*/7), positions{std::move(layout)},
+                      PropagationParams params = {}, bool frozen = false)
+      : prop(params, /*shadowing_seed=*/7), positions{std::move(layout), frozen},
         channel(sim, prop, positions) {
     for (NodeId i = 0; i < positions.pos.size(); ++i) {
       radios.push_back(std::make_unique<Radio>(i, channel));
@@ -174,6 +190,125 @@ TEST(Radio, WeakerConcurrentArrivalIsInterferenceNotLock) {
   f.sim.run();
   ASSERT_EQ(f.recorders[1]->received.size(), 1u);
   EXPECT_EQ(f.recorders[1]->received[0].transmitter, 0u);
+}
+
+// --- One Signal per transmission, slim per-radio records ---------------------
+//
+// The channel builds one Signal per transmission and sets each receiver's
+// power on it; radios keep only (id, power) of in-flight signals and copy
+// the full Signal when they lock onto a frame. Each case runs on the
+// reference full scan and on the static-layout audible lists.
+
+class RadioDelivery : public ::testing::TestWithParam<bool> {};
+
+INSTANTIATE_TEST_SUITE_P(Paths, RadioDelivery, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "AudibleLists"
+                                                         : "FullScan");
+                         });
+
+TEST_P(RadioDelivery, EachReceiverSeesTheSharedSignalAtItsOwnPower) {
+  PhyFixture f({{0, 0}, {60, 0}, {0, 180}}, {}, GetParam());
+  const PayloadPtr p = payload();
+  // Twice: the second transmission reuses a cached audible list.
+  for (int round = 0; round < 2; ++round) {
+    const SimTime at = (1 + round) * kMillisecond;
+    f.sim.at(at, [&] { f.radios[0]->transmit(p, 100 * kMicrosecond); });
+  }
+  f.sim.run();
+  for (NodeId rx : {1u, 2u}) {
+    SCOPED_TRACE(rx);
+    const auto& got = f.recorders[rx]->received;
+    ASSERT_EQ(got.size(), 2u);
+    for (int round = 0; round < 2; ++round) {
+      const Signal& s = got[round];
+      const SimTime at = (1 + round) * kMillisecond;
+      EXPECT_EQ(s.transmitter, 0u);
+      EXPECT_EQ(s.payload.get(), p.get());
+      EXPECT_EQ(s.start, at);
+      EXPECT_EQ(s.end, at + 100 * kMicrosecond);
+      EXPECT_EQ(s.rx_power_dbm,
+                f.prop.rx_power_dbm(f.positions.pos[0], f.positions.pos[rx]));
+      EXPECT_FALSE(s.corrupted);
+    }
+  }
+  EXPECT_EQ(f.recorders[1]->received[0].id, f.recorders[2]->received[0].id);
+  // The audible-list path collected candidates once, for the list build.
+  EXPECT_EQ(f.channel.cache_stats().candidate_sets, GetParam() ? 1u : 0u);
+  EXPECT_GT(f.recorders[1]->received[0].rx_power_dbm,
+            f.recorders[2]->received[0].rx_power_dbm);
+}
+
+TEST_P(RadioDelivery, InterferersEndingInEitherOrderLeaveTheLockedFrame) {
+  // Receiver 1 locks onto node 0's strong frame (50 m); nodes 2 and 3 are
+  // >10 dB weaker interferers. Both end before the locked frame, in either
+  // order, so each removal takes a different slot of the radio's records.
+  for (const bool short_first : {true, false}) {
+    SCOPED_TRACE(short_first);
+    PhyFixture f({{0, 0}, {50, 0}, {570, 0}, {50, 520}}, {}, GetParam());
+    const SimDuration airtime_2 = (short_first ? 100 : 250) * kMicrosecond;
+    const SimDuration airtime_3 = (short_first ? 250 : 100) * kMicrosecond;
+    f.radios[0]->transmit(payload(), 400 * kMicrosecond);
+    f.sim.at(10 * kMicrosecond,
+             [&] { f.radios[2]->transmit(payload(), airtime_2); });
+    f.sim.at(20 * kMicrosecond,
+             [&] { f.radios[3]->transmit(payload(), airtime_3); });
+    f.sim.run_until(300 * kMicrosecond);
+    EXPECT_TRUE(f.radios[1]->carrier_busy());  // the locked frame remains
+    f.sim.run();
+    const Recorder& r = *f.recorders[1];
+    ASSERT_EQ(r.received.size(), 1u);
+    EXPECT_EQ(r.received[0].transmitter, 0u);
+    EXPECT_EQ(r.errors, 0);
+    const std::vector<std::pair<bool, SimTime>> edges = {
+        {true, 0}, {false, 400 * kMicrosecond}};
+    EXPECT_EQ(r.carrier, edges);
+  }
+}
+
+TEST_P(RadioDelivery, CorruptedDeliveryDamagesOnlyItsOwnReceiver) {
+  // Six receivers in decode range; each delivery is corrupted with
+  // probability 1/2 and gets a fresh replacement payload, so every
+  // damaged frame a receiver reports must be one corruption of its own.
+  PhyFixture f({{0, 0}, {40, 0}, {80, 0}, {120, 0}, {0, 40}, {0, 80}, {0, 120}},
+               {}, GetParam());
+  FaultPlan plan;
+  plan.corrupt_probability = 0.5;
+  FaultInjector faults(plan, 3);
+  std::size_t corruptions = 0;
+  faults.set_corruptor([&corruptions](const PayloadPtr&, util::Xoshiro256ss&) {
+    ++corruptions;
+    return payload();
+  });
+  f.channel.install_faults(faults);
+  const PayloadPtr p = payload();
+  for (int round = 0; round < 3; ++round) {
+    f.sim.at(round * kMillisecond,
+             [&] { f.radios[0]->transmit(p, 100 * kMicrosecond); });
+  }
+  f.sim.run();
+  std::size_t intact = 0;
+  std::set<const Payload*> damaged;
+  for (NodeId rx = 1; rx < f.radios.size(); ++rx) {
+    const Recorder& r = *f.recorders[rx];
+    EXPECT_EQ(r.received.size() + r.failed.size(), 3u);
+    for (const Signal& s : r.received) {
+      EXPECT_FALSE(s.corrupted);
+      EXPECT_EQ(s.payload.get(), p.get());
+      ++intact;
+    }
+    for (const Signal& s : r.failed) {
+      EXPECT_TRUE(s.corrupted);
+      EXPECT_NE(s.payload.get(), p.get());
+      EXPECT_EQ(s.transmitter, 0u);
+      damaged.insert(s.payload.get());
+    }
+  }
+  EXPECT_EQ(faults.decisions(), 18u);
+  EXPECT_EQ(intact + corruptions, 18u);
+  EXPECT_EQ(damaged.size(), corruptions);
+  EXPECT_GT(intact, 0u);
+  EXPECT_GT(corruptions, 0u);
 }
 
 TEST(CsTimeline, BusyTimeAndSlotAccounting) {
