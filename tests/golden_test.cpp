@@ -5,9 +5,12 @@
 // hashes (MD5) a canonical text rendering of both results: every
 // per-config counter, the aggregated MonitorStats, and every post-warmup
 // WindowResult (p-values as hex floats, so the digest is bit-exact).
-// CondProbFig3 pins the fig3 conditional-probability measurement the same
-// way, and ScaleRwp the counters of a 200-node random-waypoint AODV
-// request/response run (the mobile channel index at scale).
+// Fig6 pins the Table-1 honest misdiagnosis trials and Roc the per-trial
+// decision streams and scored ROC/TTD points of a small adversary sweep
+// over every detector. CondProbFig3 pins the fig3 conditional-probability
+// measurement the same way, and ScaleRwp the counters of a 200-node
+// random-waypoint AODV request/response run (the mobile channel index at
+// scale).
 //
 // The digests pin the detection pipeline's output, not its structure: a
 // refactor of the monitor, the hub, the batch lanes, the statistics, or
@@ -23,9 +26,12 @@
 #include "crypto/md5.hpp"
 #include "detect/experiment.hpp"
 #include "detect/replay.hpp"
+#include "detect/roc.hpp"
+#include "detect/sequential.hpp"
 #include "detect/trace.hpp"
 #include "net/network.hpp"
 #include "net/scale.hpp"
+#include "util/stats.hpp"
 
 namespace manet::detect {
 namespace {
@@ -61,6 +67,23 @@ void append_stats(std::string& out, const MonitorStats& s) {
   append(out, "to_first_flag", s.windows_to_first_flag);
 }
 
+void append_window(std::string& out, const WindowResult& w) {
+  append(out, "at", static_cast<unsigned long long>(w.at));
+  append_double(out, "p", w.p_less);
+  append(out, "s", w.statistical_flag ? 1 : 0);
+  append(out, "d", w.deterministic_flag ? 1 : 0);
+  out += '\n';
+}
+
+/// Every trial's decision stream, one "trial" header line per trial.
+void append_trial_logs(std::string& out, const DetectionResult& d) {
+  for (std::size_t t = 0; t < d.trial_logs.size(); ++t) {
+    append(out, "trial", t);
+    out += '\n';
+    for (const WindowResult& w : d.trial_logs[t]) append_window(out, w);
+  }
+}
+
 /// Canonical rendering of a result: one line per config plus one line per
 /// window. Wall-clock fields are excluded (not deterministic).
 std::string canonical(const MultiDetectionResult& r) {
@@ -77,13 +100,7 @@ std::string canonical(const MultiDetectionResult& r) {
     append_double(out, "stat_rate", d.statistical_rate);
     append_stats(out, d.stats);
     out += '\n';
-    for (const WindowResult& w : d.window_log) {
-      append(out, "at", static_cast<unsigned long long>(w.at));
-      append_double(out, "p", w.p_less);
-      append(out, "s", w.statistical_flag ? 1 : 0);
-      append(out, "d", w.deterministic_flag ? 1 : 0);
-      out += '\n';
-    }
+    for (const WindowResult& w : d.window_log) append_window(out, w);
   }
   return out;
 }
@@ -220,6 +237,117 @@ TEST(Golden, SequentialDetectors) {
   cfg.monitors = {small_monitor(10), cusum, sprt};
   EXPECT_EQ(golden_digest(cfg),
             "cb5a735b7b829e85ee26b4040880a884");
+}
+
+TEST(Golden, Fig6) {
+  // The fig6 bench's Table-1 honest misdiagnosis point: everyone honest,
+  // sample sizes 10 and 25, two consecutive-seed trials at a fixed rate.
+  // Every flagged window is a false alarm.
+  MultiDetectionConfig cfg;
+  cfg.scenario.sim_seconds = 60;
+  cfg.scenario.seed = 301;
+  cfg.rate_pps = 20.0;
+  cfg.collect_windows = true;
+  for (std::size_t ss : {10u, 25u}) {
+    MonitorConfig m;
+    m.sample_size = ss;
+    m.alpha = 0.01;
+    m.margin_fraction = 0.10;
+    m.fixed_n = m.fixed_k = m.fixed_m = m.fixed_j = 5.0;
+    m.fixed_contenders = 20.0;
+    cfg.monitors.push_back(m);
+  }
+  const MultiDetectionResult r = run_multi_detection_trials(cfg, 2);
+  std::string out;
+  append_double(out, "rho", r.measured_rho);
+  append(out, "monitor_nodes", r.monitor_nodes);
+  out += '\n';
+  for (const DetectionResult& d : r.per_config) {
+    util::ProportionEstimator misdiag;
+    for (std::uint64_t w = 0; w < d.windows; ++w) misdiag.add(w < d.flagged);
+    append(out, "windows", d.windows);
+    append(out, "flagged", d.flagged);
+    append(out, "flagged_stat", d.flagged_statistical);
+    append_double(out, "misdiag", d.detection_rate);
+    append_double(out, "wilson_upper", misdiag.wilson_upper());
+    append_stats(out, d.stats);
+    out += '\n';
+    append_trial_logs(out, d);
+  }
+  EXPECT_EQ(crypto::to_hex(crypto::Md5::hash(out)),
+            "88853ef6b78c91c0968c7694e3fe137c");
+}
+
+TEST(Golden, Roc) {
+  // A small fig_roc_adversaries sweep: two attackers and the honest
+  // baseline, each closed by the wilcoxon, cusum and sprt detectors at
+  // sample size 10, scored over a threshold sweep. Pins the per-trial
+  // decision streams and every scored ROC/TTD point.
+  const std::vector<DetectorKind> detectors = {
+      DetectorKind::kWilcoxon, DetectorKind::kCusum, DetectorKind::kSprt};
+  const std::vector<double> thresholds = {0.0005, 0.005, 0.05, 0.2};
+  const auto make_point = [&](const std::string& attacker) {
+    MultiDetectionConfig cfg;
+    cfg.scenario.sim_seconds = 30;
+    cfg.scenario.seed = 601;
+    cfg.rate_pps = 40.0;
+    cfg.attacker = attacker_spec_from_name(attacker, AttackerTuning{});
+    cfg.collect_windows = true;
+    for (DetectorKind kind : detectors) {
+      MonitorConfig m;
+      m.sample_size = 10;
+      m.margin_fraction = 0.10;
+      m.fixed_n = m.fixed_k = m.fixed_m = m.fixed_j = 5.0;
+      m.fixed_contenders = 20.0;
+      m.detector = kind;
+      cfg.monitors.push_back(m);
+    }
+    return cfg;
+  };
+  const MultiDetectionConfig honest_cfg = make_point("honest");
+  const MultiDetectionResult honest = run_multi_detection_trials(honest_cfg, 2);
+  std::string out;
+  for (const char* attacker : {"pm50", "colluding"}) {
+    const MultiDetectionResult attack =
+        run_multi_detection_trials(make_point(attacker), 2);
+    for (std::size_t ci = 0; ci < detectors.size(); ++ci) {
+      out += attacker;
+      out += ' ';
+      out += detector_name(detectors[ci]);
+      out += '\n';
+      append_trial_logs(out, attack.per_config[ci]);
+      const RocCurve curve =
+          score_roc_curve(attack.per_config[ci], honest.per_config[ci],
+                          thresholds, honest_cfg.warmup_s);
+      append_double(out, "auc", curve.auc);
+      out += '\n';
+      for (const RocThresholdPoint& p : curve.points) {
+        append_double(out, "threshold", p.threshold);
+        append(out, "attack_windows", p.attack_windows);
+        append(out, "attack_flagged", p.attack_flagged);
+        append(out, "honest_windows", p.honest_windows);
+        append(out, "honest_flagged", p.honest_flagged);
+        append_double(out, "det", p.detection_rate);
+        append_double(out, "fa", p.false_alarm_rate);
+        append(out, "trials", p.trials);
+        append(out, "detected", p.detected_trials);
+        for (double ttd : p.ttd_s) append_double(out, "ttd", ttd);
+        append_double(out, "median_ttd", p.median_ttd_s);
+        append_double(out, "mean_ttd", p.mean_ttd_s);
+        append_double(out, "min_ttd", p.min_ttd_s);
+        append_double(out, "max_ttd", p.max_ttd_s);
+        out += '\n';
+      }
+    }
+  }
+  for (std::size_t ci = 0; ci < detectors.size(); ++ci) {
+    out += "honest ";
+    out += detector_name(detectors[ci]);
+    out += '\n';
+    append_trial_logs(out, honest.per_config[ci]);
+  }
+  EXPECT_EQ(crypto::to_hex(crypto::Md5::hash(out)),
+            "b6edf392bba2ff73b41a210520734626");
 }
 
 TEST(Golden, CondProbFig3) {
