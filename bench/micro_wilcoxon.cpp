@@ -1,16 +1,13 @@
 // Microbenchmark: Wilcoxon rank-sum test cost per monitor window.
 // The monitor runs one test per completed window; at sample size 10 the
-// exact permutation DP must stay in the tens of microseconds.
+// exact path (a tail-only integer count) takes a few microseconds.
 //
-// Case families (select with --filter):
+// Case families (select with --filter, a substring: --filter=exact runs
+// every exact size):
 //  * exact_fast_n* / approx_fast_n*   — the scratch-reused scalar path.
-//  * exact_reference_n* / ...         — the retained pre-optimization
-//    implementation (fresh allocations, full-range DP rows, second
-//    tie-group sort); fast/reference is the optimization's speedup.
 //  * exact_batch_n* / approx_batch_n* — wilcoxon_rank_sum_batch over a
-//    64-item batch of same-size tests, the shape MonitorBatch closes
-//    windows in; per-op cost relative to the scalar fast path shows the
-//    scheduling + shared-scratch effect in isolation.
+//    64-item batch of same-size tests with a shared margin shift: the
+//    scalar path in a loop, plus one shifted copy of y per test.
 #include <cstdint>
 #include <vector>
 
@@ -24,7 +21,6 @@ using namespace manet;
 using detect::RankSumResult;
 using detect::wilcoxon_rank_sum;
 using detect::wilcoxon_rank_sum_batch;
-using detect::wilcoxon_rank_sum_reference;
 using detect::WilcoxonBatchItem;
 using detect::WilcoxonOptions;
 using detect::WilcoxonScratch;
@@ -45,7 +41,6 @@ void run_family(bench::MicroHarness& h, const char* family, std::size_t n,
 
   const std::string suffix = "_n" + std::to_string(n);
   const std::string fast_name = std::string(family) + "_fast" + suffix;
-  const std::string ref_name = std::string(family) + "_reference" + suffix;
   const std::string batch_name = std::string(family) + "_batch" + suffix;
 
   {
@@ -56,18 +51,6 @@ void run_family(bench::MicroHarness& h, const char* family, std::size_t n,
     h.run_case(fast_name, [&] {
       for (std::size_t i = 0; i < reps; ++i) {
         bench::keep(wilcoxon_rank_sum(x, y, opts, scratch).p_less);
-      }
-      return static_cast<std::uint64_t>(reps);
-    });
-  }
-  {
-    const auto x = sample(n, 1.0, 1);
-    const auto y = sample(n, 0.7, 2);
-    // The reference is an order of magnitude slower; trim its rep count.
-    const std::size_t reps = h.reps(base_reps / 4 + 1);
-    h.run_case(ref_name, [&] {
-      for (std::size_t i = 0; i < reps; ++i) {
-        bench::keep(wilcoxon_rank_sum_reference(x, y, opts).p_less);
       }
       return static_cast<std::uint64_t>(reps);
     });
@@ -110,8 +93,8 @@ void run_family(bench::MicroHarness& h, const char* family, std::size_t n,
 int main(int argc, char** argv) {
   bench::MicroHarness h("micro_wilcoxon",
                         "Wilcoxon rank-sum cost per closed monitor window: "
-                        "scalar fast path vs retained reference vs batched "
-                        "close, exact-DP and normal-approximation branches.",
+                        "scalar path vs batched close, exact tail-count and "
+                        "normal-approximation branches.",
                         argc, argv);
   for (std::size_t n : {5u, 10u, 15u, 20u}) {
     run_family(h, "exact", n, /*exact=*/true, 4000);

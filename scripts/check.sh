@@ -166,7 +166,7 @@ diff <(strip_timing "$smoke_dir/roc_t1.json") \
 # window-accounting memo, and batched/scalar Wilcoxon under the sanitizers.
 ./build-asan/bench/micro_monitor --filter=allpairs_batch_4 --reps=0.5 \
     >/dev/null
-./build-asan/bench/micro_wilcoxon --filter=_n10 --reps=0.02 >/dev/null
+./build-asan/bench/micro_wilcoxon --filter=exact --reps=0.02 >/dev/null
 
 echo "== trace record/replay equivalence (ASan + UBSan) =="
 # The streaming detection path: record a live run (static + mobile-handoff,

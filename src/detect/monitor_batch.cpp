@@ -532,29 +532,21 @@ void MonitorBatch::close_sequential(std::size_t lane, bool crossed,
 
 void MonitorBatch::close_due_windows() {
   const SimTime now = hub_.simulator().now();
-  batch_items_.clear();
   for (const std::size_t lane : due_lanes_) {
-    WilcoxonBatchItem item;
     const std::size_t offset = lane_off_[lane];
     const std::size_t n = lane_fill_[lane];
-    item.x = std::span<const double>(xs_arena_.data() + offset, n);
-    item.y = std::span<const double>(ys_arena_.data() + offset, n);
+    const std::span<const double> x(xs_arena_.data() + offset, n);
     // The observed sample is shifted up by the permissible margin before
     // the one-sided test: only a deficit beyond the margin (a plain
     // fraction of the CW-normalized samples) counts as evidence.
-    item.shift = lane_margin_[lane];
-    item.options = lane_wilcoxon_[lane];
-    batch_items_.push_back(item);
-  }
-  batch_results_.resize(batch_items_.size());
-  wilcoxon_rank_sum_batch(batch_items_, batch_results_, wilcoxon_scratch_);
+    shifted_y_.assign(ys_arena_.data() + offset, ys_arena_.data() + offset + n);
+    for (double& v : shifted_y_) v += lane_margin_[lane];
 
-  for (std::size_t i = 0; i < due_lanes_.size(); ++i) {
-    const std::size_t lane = due_lanes_[i];
     WindowResult result;
     result.at = now;
     result.deterministic_flag = lane_window_flag_[lane] != 0;
-    result.p_less = batch_results_[i].p_less;
+    result.p_less =
+        wilcoxon_rank_sum(x, shifted_y_, lane_wilcoxon_[lane], wilcoxon_scratch_).p_less;
     result.statistical_flag = result.p_less < lane_alpha_[lane];
     record_window(lane, result);
     lane_fill_[lane] = 0;

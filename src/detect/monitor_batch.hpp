@@ -26,8 +26,8 @@
 //    fill counts, sample arenas (one contiguous [offset, offset+capacity)
 //    slice of a shared buffer per Wilcoxon lane), test thresholds,
 //    detector state (a SequentialBank slot per CUSUM/SPRT lane), stats and
-//    window logs. Lanes that fill on the same RTS close together through
-//    wilcoxon_rank_sum_batch over one shared scratch.
+//    window logs. Lanes that fill on the same RTS close together, one
+//    scalar wilcoxon_rank_sum each over one shared scratch.
 //
 // Equivalence contract: every per-lane output stream (WindowResult
 // sequence, MonitorStats, sample log) is bit-identical to the same
@@ -252,8 +252,7 @@ class MonitorBatch {
 
   // Batched window-close scratch (reused; steady state allocates nothing).
   std::vector<std::size_t> due_lanes_;
-  std::vector<WilcoxonBatchItem> batch_items_;
-  std::vector<RankSumResult> batch_results_;
+  std::vector<double> shifted_y_;  // y + margin of the lane being closed
   WilcoxonScratch wilcoxon_scratch_;
 };
 

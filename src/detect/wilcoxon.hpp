@@ -2,48 +2,52 @@
 // comparing the dictated back-off population x against the observed
 // (estimated) population y without distributional assumptions.
 //
-// Two evaluation paths:
-//  * Exact: the permutation null distribution of the rank sum, computed by
-//    dynamic programming over the observed midranks (handles ties). Used
-//    when the combined sample is small — where the normal approximation is
-//    weakest and where the paper's table lookups operate.
-//  * Normal approximation with tie correction and continuity correction,
-//    for larger samples.
-//
 // p_less is the probability, under H0 "x and y come from identical
 // populations", of a y rank sum at most as large as observed — small
 // p_less means y is stochastically smaller than x (the misbehavior
-// signature: shorter back-offs).
+// signature: shorter back-offs). It is the only tail the monitor reads.
+//
+// Two evaluation paths behind one scalar call:
+//  * Exact (nx + ny <= exact_max_total): counts one tail of the
+//    permutation null distribution of the rank sum in integers. Doubled
+//    midranks (ties included) are integral; a capped subset-sum DP counts
+//    the ny-subsets whose doubled sum is at most the observed one — or,
+//    when the observation lies above the middle, the strict upper tail
+//    over mirrored ranks, subtracted from C(nx + ny, ny). Every count is
+//    an exact integer below 2^53 while C(n, n/2) < 2^53 (n <= 56), so
+//    p_less = count / C(n, ny) is the same double the full distribution in
+//    floating point would give, bit for bit.
+//  * Normal approximation with tie correction and continuity correction,
+//    for larger samples.
 //
 // The monitor runs one test per closed window, so the hot path is
-// allocation-free: callers hold a WilcoxonScratch whose buffers (combined
-// sample, midranks, the flat DP table) are reused across calls, and the DP
-// skips the provably-zero tail of each row via reachable-sum bounds. The
-// pre-optimization implementation is retained verbatim as
-// `wilcoxon_rank_sum_reference`; tests assert the fast path matches it bit
-// for bit and bench/micro_wilcoxon measures the speedup against it.
+// allocation-free: callers hold a WilcoxonScratch whose buffers are reused
+// across calls.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 namespace manet::detect {
 
 struct RankSumResult {
-  double w_y = 0.0;        // rank sum of the y sample (midranks)
-  double p_less = 1.0;     // P(W <= w_y | H0)  — y smaller
-  double p_greater = 1.0;  // P(W >= w_y | H0)  — y larger
-  double p_two_sided = 1.0;
-  double z = 0.0;          // standardized statistic (approx path; 0 if exact)
+  double w_y = 0.0;     // rank sum of the y sample (midranks)
+  double p_less = 1.0;  // P(W <= w_y | H0)  — y smaller
+  double z = 0.0;       // standardized statistic (approx path; 0 if exact)
   bool exact = false;
 };
 
 struct WilcoxonOptions {
   /// Use the exact permutation distribution when nx + ny <= this bound.
-  /// 40 keeps the DP in the tens of microseconds.
+  /// At most kMaxExactTotal; 40 keeps the DP in the low microseconds.
   std::size_t exact_max_total = 40;
 };
+
+/// Largest exact_max_total accepted: the largest n with C(n, n/2) < 2^53,
+/// so every tail count is exact in both uint64_t and double.
+inline constexpr std::size_t kMaxExactTotal = 56;
 
 /// Reusable buffers for wilcoxon_rank_sum. All vectors grow to the largest
 /// sample seen and are reused afterwards; a default-constructed scratch is
@@ -51,17 +55,15 @@ struct WilcoxonOptions {
 struct WilcoxonScratch {
   std::vector<double> combined;       // x followed by y
   std::vector<double> ranks;          // midranks of `combined`
-  std::vector<std::size_t> order;     // sort scratch for the midranks
-  std::vector<long long> doubled;     // midranks * 2 (integral)
-  std::vector<double> dp;             // flat (ny+1) x (smax+1) subset counts
-  std::vector<long long> min_sum;     // reachable doubled-sum bounds per
-  std::vector<long long> max_sum;     //   subset size (DP row support)
+  std::vector<std::size_t> order;     // ascending order of `combined`
+  std::vector<std::int64_t> prefix;   // prefix sums of the sorted doubled ranks
+  std::vector<std::uint64_t> counts;  // flat (ny+1) x (cap+1) subset counts
   std::vector<double> shifted;        // batch path: y + per-item shift
-  std::vector<std::size_t> schedule;  // batch path: item evaluation order
 };
 
-/// Requires nx >= 1 and ny >= 1. Reuses `scratch` across calls; results are
-/// bit-identical to wilcoxon_rank_sum_reference for the same inputs.
+/// Requires nx >= 1 and ny >= 1, and options.exact_max_total <=
+/// kMaxExactTotal (throws std::invalid_argument otherwise). Reuses
+/// `scratch` across calls.
 RankSumResult wilcoxon_rank_sum(std::span<const double> x, std::span<const double> y,
                                 const WilcoxonOptions& options,
                                 WilcoxonScratch& scratch);
@@ -70,16 +72,9 @@ RankSumResult wilcoxon_rank_sum(std::span<const double> x, std::span<const doubl
 RankSumResult wilcoxon_rank_sum(std::span<const double> x, std::span<const double> y,
                                 const WilcoxonOptions& options = {});
 
-/// Pre-optimization implementation, kept verbatim as the oracle: fresh
-/// allocations per call, full-range DP rows, separate tie-group sort.
-/// Not for production use.
-RankSumResult wilcoxon_rank_sum_reference(std::span<const double> x,
-                                          std::span<const double> y,
-                                          const WilcoxonOptions& options = {});
-
-/// One test of a batched close: compare `x` against `y + shift` (the
-/// monitor's margin shift, applied into scratch rather than by the caller
-/// so the batch stays allocation-free over span inputs).
+/// One test of a batch: compare `x` against `y + shift` (a margin shift,
+/// applied into scratch so the batch stays allocation-free over span
+/// inputs).
 struct WilcoxonBatchItem {
   std::span<const double> x;
   std::span<const double> y;
@@ -87,13 +82,8 @@ struct WilcoxonBatchItem {
   WilcoxonOptions options;
 };
 
-/// Evaluates every item and writes results[i] for items[i]. Items are
-/// independent tests, so each result is bit-identical to the scalar
-/// wilcoxon_rank_sum(x, y + shift) call it replaces; internally the items
-/// are scheduled exact-DP first in ascending combined size (so the flat DP
-/// table and reachable-bound arrays grow monotonically instead of being
-/// re-assigned per size change), then approx items in caller order.
-/// `results` must have items.size() entries.
+/// Writes results[i] = wilcoxon_rank_sum(items[i].x, items[i].y + shift),
+/// in caller order. `results` must have items.size() entries.
 void wilcoxon_rank_sum_batch(std::span<const WilcoxonBatchItem> items,
                              std::span<RankSumResult> results,
                              WilcoxonScratch& scratch);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "detect/arma.hpp"
@@ -13,6 +15,7 @@
 #include "geom/region_model.hpp"
 #include "mac/dcf.hpp"
 #include "phy/channel.hpp"
+#include "reference_wilcoxon.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -228,13 +231,13 @@ TEST(Wilcoxon, ExactExtremeSeparationSmallSample) {
   EXPECT_TRUE(r.exact);
   EXPECT_DOUBLE_EQ(r.w_y, 6.0);
   EXPECT_NEAR(r.p_less, 0.05, 1e-12);
-  EXPECT_NEAR(r.p_greater, 1.0, 1e-12);
-  EXPECT_NEAR(r.p_two_sided, 0.1, 1e-12);
 
-  // Swapped: y largest.
+  // Swapped: y holds the three largest ranks, P(W <= 15) = 1. This is
+  // also P(W_y >= 6) of the unswapped test, and with the 0.05 above (the
+  // swapped test's P(W >= 15)) the two-sided p-value is 0.1.
   const auto r2 = wilcoxon_rank_sum(y, x);
-  EXPECT_NEAR(r2.p_greater, 0.05, 1e-12);
   EXPECT_NEAR(r2.p_less, 1.0, 1e-12);
+  EXPECT_NEAR(std::min(1.0, 2.0 * std::min(r.p_less, r2.p_less)), 0.1, 1e-12);
 }
 
 TEST(Wilcoxon, ExactMatchesHandComputedDistribution) {
@@ -252,9 +255,9 @@ TEST(Wilcoxon, ExactMatchesHandComputedDistribution) {
 
 TEST(Wilcoxon, IdenticalSamplesAreNotSignificant) {
   const std::vector<double> x{5, 5, 5, 5, 5};
-  const auto r = wilcoxon_rank_sum(x, x);
-  EXPECT_GT(r.p_less, 0.4);
-  EXPECT_GT(r.p_greater, 0.4);
+  const std::vector<double> y{5, 5, 5, 5, 5};
+  EXPECT_GT(wilcoxon_rank_sum(x, y).p_less, 0.4);
+  EXPECT_GT(wilcoxon_rank_sum(y, x).p_less, 0.4);
 }
 
 TEST(Wilcoxon, HandlesTiesViaMidranks) {
@@ -262,7 +265,7 @@ TEST(Wilcoxon, HandlesTiesViaMidranks) {
   const auto r = wilcoxon_rank_sum(x, y);
   EXPECT_GT(r.p_less, 0.05);  // no real separation
   EXPECT_LE(r.p_less, 1.0);
-  EXPECT_GE(r.p_two_sided, 0.0);
+  EXPECT_GE(wilcoxon_rank_sum(y, x).p_less, 0.0);
 }
 
 TEST(Wilcoxon, ApproxAndExactAgreeOnMediumSamples) {
@@ -292,7 +295,7 @@ TEST(Wilcoxon, DetectsStochasticallySmallerSample) {
   }
   const auto r = wilcoxon_rank_sum(x, y);
   EXPECT_LT(r.p_less, 0.001);
-  EXPECT_GT(r.p_greater, 0.5);
+  EXPECT_GT(wilcoxon_rank_sum(y, x).p_less, 0.5);
 }
 
 TEST(Wilcoxon, PValuesValidUnderNullHypothesis) {
@@ -341,16 +344,17 @@ TEST(Wilcoxon, AllValuesTiedDegenerateVariance) {
   // Large tied samples fall through to the approx path with zero variance.
   const std::vector<double> x(30, 7.0), y(30, 7.0);
   const auto r = wilcoxon_rank_sum(x, y);
+  EXPECT_FALSE(r.exact);
   EXPECT_DOUBLE_EQ(r.p_less, 1.0);
-  EXPECT_DOUBLE_EQ(r.p_greater, 1.0);
+  EXPECT_DOUBLE_EQ(wilcoxon_rank_sum(y, x).p_less, 1.0);
 }
 
 TEST(Wilcoxon, ScratchReuseMatchesReferenceBitForBit) {
-  // The allocation-free path (reused scratch, bounded DP rows, single-pass
-  // midranks) must reproduce the retained pre-optimization implementation
-  // exactly — every result field, exact and approximate branches, heavy
-  // ties included. The scratch is deliberately reused across wildly
-  // different sample sizes to catch stale-buffer bugs.
+  // The allocation-free path (reused scratch, tail-only integer counts,
+  // single-pass midranks) must reproduce the pre-optimization oracle
+  // exactly — every field it still carries, exact and approximate
+  // branches, heavy ties included. The scratch is deliberately reused
+  // across wildly different sample sizes to catch stale-buffer bugs.
   util::Xoshiro256ss rng(99);
   WilcoxonScratch scratch;
   const std::size_t sizes[][2] = {{1, 1},  {3, 5},   {10, 10}, {20, 20},
@@ -374,19 +378,22 @@ TEST(Wilcoxon, ScratchReuseMatchesReferenceBitForBit) {
       EXPECT_EQ(fast.exact, ref.exact);
       EXPECT_EQ(fast.w_y, ref.w_y);
       EXPECT_EQ(fast.p_less, ref.p_less);
-      EXPECT_EQ(fast.p_greater, ref.p_greater);
-      EXPECT_EQ(fast.p_two_sided, ref.p_two_sided);
       EXPECT_EQ(fast.z, ref.z);
+      // The upper tail is the lower tail of the swapped test: the same
+      // count over the same total on the exact path.
+      if (ref.exact) {
+        EXPECT_EQ(wilcoxon_rank_sum(y, x, WilcoxonOptions{}, scratch).p_less,
+                  ref.p_greater);
+      }
     }
   }
 }
 
 TEST(Wilcoxon, BatchMatchesScalarBitForBit) {
-  // wilcoxon_rank_sum_batch reorders evaluation (exact-DP items first,
-  // ascending size) and applies the margin shift into shared scratch, but
-  // each item is an independent test: results[i] must equal the scalar
-  // wilcoxon_rank_sum(x_i, y_i + shift_i) call it replaces, field for
-  // field, under heavy scratch reuse across mixed exact/approx sizes.
+  // wilcoxon_rank_sum_batch applies the margin shift into shared scratch,
+  // but each item is an independent test: results[i] must equal the
+  // scalar wilcoxon_rank_sum(x_i, y_i + shift_i) call it replaces, field
+  // for field, under heavy scratch reuse across mixed exact/approx sizes.
   util::Xoshiro256ss rng(123);
   WilcoxonScratch batch_scratch;
   WilcoxonScratch scalar_scratch;
@@ -428,11 +435,100 @@ TEST(Wilcoxon, BatchMatchesScalarBitForBit) {
       EXPECT_EQ(results[i].exact, ref.exact) << "item " << i;
       EXPECT_EQ(results[i].w_y, ref.w_y) << "item " << i;
       EXPECT_EQ(results[i].p_less, ref.p_less) << "item " << i;
-      EXPECT_EQ(results[i].p_greater, ref.p_greater) << "item " << i;
-      EXPECT_EQ(results[i].p_two_sided, ref.p_two_sided) << "item " << i;
       EXPECT_EQ(results[i].z, ref.z) << "item " << i;
     }
   }
+}
+
+/// y whose midranks sum to exactly ny (n + 1) / 2, the middle of the null
+/// distribution: rank pairs (k, n + 1 - k), plus the middle rank (n + 1) / 2
+/// when ny is odd (for even n, two tied middle values split across x and y).
+void fill_middle_rank_sum(std::size_t nx, std::size_t ny, std::vector<double>& x,
+                          std::vector<double>& y) {
+  const std::size_t n = nx + ny;
+  std::vector<double> values(n);
+  for (std::size_t k = 0; k < n; ++k) values[k] = static_cast<double>(k + 1);
+  if (n % 2 == 0) values[n / 2] = values[n / 2 - 1];  // tie the middle pair
+  std::vector<char> in_y(n, 0);
+  for (std::size_t k = 0; k < ny / 2; ++k) in_y[k] = in_y[n - 1 - k] = 1;
+  if (ny % 2 == 1) in_y[(n - 1) / 2] = 1;
+  x.clear();
+  y.clear();
+  for (std::size_t k = 0; k < n; ++k) (in_y[k] ? y : x).push_back(values[k]);
+}
+
+TEST(Wilcoxon, ExactTailMatchesFullDistributionForEverySize) {
+  // The tail-only integer count must give p_less bit-equal to the oracle's
+  // full double-precision null distribution, for every exact size
+  // nx + ny <= 40 (nx != ny included) and every shape of input: untied,
+  // quantized (tied), all tied, an observed sum exactly at the middle, and
+  // both extreme tails. One scratch serves every size.
+  util::Xoshiro256ss rng(2024);
+  WilcoxonScratch scratch;
+  const WilcoxonOptions options;
+  std::vector<double> x, y;
+  const auto check = [&](const char* shape) {
+    ASSERT_LE(x.size() + y.size(), options.exact_max_total);
+    const auto fast = wilcoxon_rank_sum(x, y, options, scratch);
+    const auto ref = wilcoxon_rank_sum_reference(x, y, options);
+    ASSERT_TRUE(fast.exact);
+    EXPECT_EQ(fast.w_y, ref.w_y) << shape << " nx=" << x.size() << " ny=" << y.size();
+    EXPECT_EQ(fast.p_less, ref.p_less)
+        << shape << " nx=" << x.size() << " ny=" << y.size();
+  };
+  for (std::size_t n = 2; n <= options.exact_max_total; ++n) {
+    for (std::size_t nx = 1; nx < n; ++nx) {
+      const std::size_t ny = n - nx;
+      x.clear();
+      y.clear();
+      for (std::size_t i = 0; i < nx; ++i) x.push_back(rng.uniform(0, 32));
+      for (std::size_t i = 0; i < ny; ++i) y.push_back(rng.uniform(0, 32) * 0.8);
+      check("untied");
+
+      for (double& v : x) v = std::floor(v / 6.0);
+      for (double& v : y) v = std::floor(v / 6.0);
+      check("quantized");
+
+      std::fill(x.begin(), x.end(), 3.0);
+      std::fill(y.begin(), y.end(), 3.0);
+      check("all tied");
+
+      fill_middle_rank_sum(nx, ny, x, y);
+      ASSERT_EQ(wilcoxon_rank_sum(x, y, options, scratch).w_y * 2.0,
+                static_cast<double>(ny * (n + 1)));
+      check("middle");
+
+      for (std::size_t i = 0; i < nx; ++i) x[i] = static_cast<double>(100 + i);
+      for (std::size_t i = 0; i < ny; ++i) y[i] = static_cast<double>(i);
+      check("lowest y");
+      for (std::size_t i = 0; i < nx; ++i) x[i] = static_cast<double>(i);
+      for (std::size_t i = 0; i < ny; ++i) y[i] = static_cast<double>(100 + i);
+      check("highest y");
+    }
+  }
+}
+
+TEST(Wilcoxon, RejectsExactLimitAboveExactCounts) {
+  // C(56, 28) < 2^53 <= C(57, 28): above 56 the tail counts could stop
+  // matching a double-precision distribution, so the option is refused.
+  const std::vector<double> x{1, 2, 3}, y{4, 5, 6};
+  WilcoxonOptions options;
+  options.exact_max_total = kMaxExactTotal + 1;
+  EXPECT_THROW(wilcoxon_rank_sum(x, y, options), std::invalid_argument);
+
+  // At the limit itself the largest exact test still matches the oracle.
+  options.exact_max_total = kMaxExactTotal;
+  util::Xoshiro256ss rng(56);
+  std::vector<double> big_x, big_y;
+  for (int i = 0; i < 28; ++i) {
+    big_x.push_back(std::floor(rng.uniform(0, 20)));
+    big_y.push_back(std::floor(rng.uniform(0, 20) * 0.9));
+  }
+  const auto fast = wilcoxon_rank_sum(big_x, big_y, options);
+  const auto ref = wilcoxon_rank_sum_reference(big_x, big_y, options);
+  EXPECT_TRUE(fast.exact);
+  EXPECT_EQ(fast.p_less, ref.p_less);
+  EXPECT_EQ(wilcoxon_rank_sum(big_y, big_x, options).p_less, ref.p_greater);
 }
 
 // --- Monitor end-to-end on a bare PHY -----------------------------------------
@@ -826,6 +922,7 @@ TEST(Report, RendersVerdictAndCounters) {
 TEST(Wilcoxon, ExactTailsOverlapAtTheObservedValue) {
   // For the exact permutation distribution, P(W <= w) + P(W >= w) =
   // 1 + P(W = w) >= 1: both one-sided p-values include the point mass.
+  // P(W_y >= w_y) is p_less of the swapped test, P(W_x <= w_x).
   util::Xoshiro256ss rng(91);
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<double> x, y;
@@ -834,12 +931,14 @@ TEST(Wilcoxon, ExactTailsOverlapAtTheObservedValue) {
       y.push_back(rng.uniform_int(16));
     }
     const auto r = wilcoxon_rank_sum(x, y);
+    const auto swapped = wilcoxon_rank_sum(y, x);
     ASSERT_TRUE(r.exact);
-    EXPECT_GE(r.p_less + r.p_greater, 1.0 - 1e-12);
+    ASSERT_TRUE(swapped.exact);
+    EXPECT_GE(r.p_less + swapped.p_less, 1.0 - 1e-12);
     EXPECT_GE(r.p_less, 0.0);
     EXPECT_LE(r.p_less, 1.0);
-    EXPECT_GE(r.p_greater, 0.0);
-    EXPECT_LE(r.p_greater, 1.0);
+    EXPECT_GE(swapped.p_less, 0.0);
+    EXPECT_LE(swapped.p_less, 1.0);
   }
 }
 
@@ -852,11 +951,13 @@ TEST(Wilcoxon, TranslationInvariance) {
     y.push_back(rng.uniform(0, 32) * 0.6);
   }
   const auto base = wilcoxon_rank_sum(x, y);
+  const auto base_swapped = wilcoxon_rank_sum(y, x);
   for (double& v : x) v += 1000;
   for (double& v : y) v += 1000;
   const auto shifted = wilcoxon_rank_sum(x, y);
+  const auto shifted_swapped = wilcoxon_rank_sum(y, x);
   EXPECT_DOUBLE_EQ(base.p_less, shifted.p_less);
-  EXPECT_DOUBLE_EQ(base.p_greater, shifted.p_greater);
+  EXPECT_DOUBLE_EQ(base_swapped.p_less, shifted_swapped.p_less);
 }
 
 TEST(Wilcoxon, UnequalSampleSizes) {
