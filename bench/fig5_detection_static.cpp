@@ -9,12 +9,9 @@
 // run. The per-flow rate for each load is calibrated once (busy fraction
 // at the monitored pair), mirroring how the paper dials in ns-2 loads.
 //
-// The sweep runs on the experiment fabric: cells are the (load, PM) grid
-// points followed by the optional adversary-zoo rows, in that fixed
-// order, so --shard i/N computes a contiguous slice whose artifact
-// concatenates with the other shards into the serial artifact
-// byte-for-byte (see exp/shard.hpp), and --columnar/--checkpoint add the
-// binary artifact and crash-safe resume.
+// The sweep's points are the (load, PM) grid followed by the optional
+// adversary-zoo rows, in that fixed order; one pass computes them all and
+// writes every record through the --json sink.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -41,7 +38,6 @@ int main(int argc, char** argv) {
   flags.add_string("channel_index", "auto",
                    "channel receiver lookup: auto | scan");
   flags.add_engine_flags();
-  flags.add_fabric_flags();
   flags.parse_or_exit(argc, argv);
 
   const auto loads = flags.get_double_list("loads");
@@ -74,19 +70,19 @@ int main(int argc, char** argv) {
   scenario.channel_index = flags.get("channel_index");
 
   exp::Engine engine = flags.make_engine();
+  const auto sink = flags.make_sink();
   bench::RateCache rates(scenario);
 
   // Cell layout: the (load, PM) paper grid in row-major order, then one
   // cell per (load, attacker) zoo row. Order is load-major in both parts
-  // so the serial artifact (and the table) group by load.
+  // so the artifact (and the table) group by load.
   const std::uint64_t grid_cells =
       static_cast<std::uint64_t>(loads.size()) * pms.size();
   const std::uint64_t total_cells =
       grid_cells + static_cast<std::uint64_t>(loads.size()) * attacker_specs.size();
-  const auto fabric = flags.make_fabric(total_cells, "fig5_detection_static");
 
   // Calibrate every load up-front, across the workers (shared across
-  // shards through $MANET_RATE_CACHE / $MANET_ARTIFACTS).
+  // processes through $MANET_RATE_CACHE).
   const std::vector<double> load_rates =
       engine.map(loads.size(), [&](std::size_t i) { return rates.rate_for(loads[i]); });
 
@@ -123,13 +119,11 @@ int main(int argc, char** argv) {
     return cfg;
   };
 
-  // Table headers are emitted lazily so a shard's partial table still
-  // labels its rows.
+  // Table headers are emitted when the load changes.
   std::ptrdiff_t grid_header_load = -1;
   std::ptrdiff_t extra_header_load = -1;
   const auto emit_cell = [&](std::uint64_t cell,
                              const detect::MultiDetectionResult& result) {
-    fabric->begin_cell(cell);
     if (cell < grid_cells) {
       const auto li = static_cast<std::ptrdiff_t>(cell / pms.size());
       const double pm = pms[cell % pms.size()];
@@ -167,7 +161,7 @@ int main(int argc, char** argv) {
             .add("intensity", result.measured_rho)
             .add("wall_seconds", result.wall_seconds)
             .add("threads", engine.threads());
-        fabric->record(rec);
+        sink->record(rec);
       }
     } else {
       const std::uint64_t e = cell - grid_cells;
@@ -209,31 +203,26 @@ int main(int argc, char** argv) {
             .add("intensity", result.measured_rho)
             .add("wall_seconds", result.wall_seconds)
             .add("threads", engine.threads());
-        fabric->record(rec);
+        sink->record(rec);
       }
     }
   };
 
-  double sweep_wall = 0.0;
-  fabric->run([&](std::uint64_t first, std::uint64_t last) {
-    std::vector<detect::MultiDetectionConfig> chunk;
-    chunk.reserve(static_cast<std::size_t>(last - first));
-    for (std::uint64_t c = first; c < last; ++c) chunk.push_back(build_point(c));
+  std::vector<detect::MultiDetectionConfig> points;
+  points.reserve(static_cast<std::size_t>(total_cells));
+  for (std::uint64_t c = 0; c < total_cells; ++c) points.push_back(build_point(c));
 
-    const auto chunk_start = std::chrono::steady_clock::now();
-    const auto results = detect::run_multi_detection_sweep(chunk, runs, engine);
-    sweep_wall += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                chunk_start)
-                      .count();
+  const auto sweep_start = std::chrono::steady_clock::now();
+  const auto results = detect::run_multi_detection_sweep(points, runs, engine);
+  const double sweep_wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start)
+          .count();
 
-    for (std::uint64_t c = first; c < last; ++c) {
-      emit_cell(c, results[static_cast<std::size_t>(c - first)]);
-    }
-  });
-
-  std::printf("\n# sweep wall-clock: %.2f s (%u threads, %llu of %llu cells x %d runs)\n",
-              sweep_wall, engine.threads(),
-              static_cast<unsigned long long>(fabric->cell_end() - fabric->cell_begin()),
-              static_cast<unsigned long long>(total_cells), runs);
+  for (std::uint64_t c = 0; c < total_cells; ++c) {
+    emit_cell(c, results[static_cast<std::size_t>(c)]);
+  }
+  sink->flush();
+  std::printf("\n# sweep wall-clock: %.2f s (%u threads, %zu points x %d runs)\n",
+              sweep_wall, engine.threads(), points.size(), runs);
   return 0;
 }

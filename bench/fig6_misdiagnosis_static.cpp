@@ -7,10 +7,9 @@
 // bounds alongside the point estimates. Loads x runs fan out across the
 // experiment engine (--threads).
 //
-// Runs on the experiment fabric (exp/fabric.hpp): cells are the honest
-// loads followed by the (load, attacker) honest-phase rows, so --shard
-// slices the sweep and --columnar/--checkpoint provide the binary
-// artifact and crash-safe resume.
+// The sweep's points are the honest loads followed by the (load, attacker)
+// honest-phase rows; one pass computes them all and writes every record
+// through the --json sink.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -39,7 +38,6 @@ int main(int argc, char** argv) {
   flags.add_string("channel_index", "auto",
                    "channel receiver lookup: auto | scan");
   flags.add_engine_flags();
-  flags.add_fabric_flags();
   flags.parse_or_exit(argc, argv);
 
   const auto loads = flags.get_double_list("loads");
@@ -90,6 +88,7 @@ int main(int argc, char** argv) {
   scenario.channel_index = flags.get("channel_index");
 
   exp::Engine engine = flags.make_engine();
+  const auto sink = flags.make_sink();
   bench::RateCache rates(scenario);
 
   // Cell layout: one honest cell per load, then one cell per
@@ -97,7 +96,6 @@ int main(int argc, char** argv) {
   const auto honest_cells = static_cast<std::uint64_t>(loads.size());
   const std::uint64_t total_cells =
       honest_cells + static_cast<std::uint64_t>(loads.size()) * attacker_specs.size();
-  const auto fabric = flags.make_fabric(total_cells, "fig6_misdiagnosis_static");
 
   const std::vector<double> load_rates =
       engine.map(loads.size(), [&](std::size_t i) { return rates.rate_for(loads[i]); });
@@ -133,7 +131,6 @@ int main(int argc, char** argv) {
   bool extra_header = false;
   const auto emit_cell = [&](std::uint64_t cell,
                              const detect::MultiDetectionResult& result) {
-    fabric->begin_cell(cell);
     if (cell < honest_cells) {
       const auto li = static_cast<std::size_t>(cell);
       if (!honest_header) {
@@ -165,7 +162,7 @@ int main(int argc, char** argv) {
             .add("intensity", result.measured_rho)
             .add("wall_seconds", result.wall_seconds)
             .add("threads", engine.threads());
-        fabric->record(rec);
+        sink->record(rec);
       }
     } else {
       const std::uint64_t e = cell - honest_cells;
@@ -203,31 +200,26 @@ int main(int argc, char** argv) {
             .add("intensity", result.measured_rho)
             .add("wall_seconds", result.wall_seconds)
             .add("threads", engine.threads());
-        fabric->record(rec);
+        sink->record(rec);
       }
     }
   };
 
-  double sweep_wall = 0.0;
-  fabric->run([&](std::uint64_t first, std::uint64_t last) {
-    std::vector<detect::MultiDetectionConfig> chunk;
-    chunk.reserve(static_cast<std::size_t>(last - first));
-    for (std::uint64_t c = first; c < last; ++c) chunk.push_back(build_point(c));
+  std::vector<detect::MultiDetectionConfig> points;
+  points.reserve(static_cast<std::size_t>(total_cells));
+  for (std::uint64_t c = 0; c < total_cells; ++c) points.push_back(build_point(c));
 
-    const auto chunk_start = std::chrono::steady_clock::now();
-    const auto results = detect::run_multi_detection_sweep(chunk, runs, engine);
-    sweep_wall += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                chunk_start)
-                      .count();
+  const auto sweep_start = std::chrono::steady_clock::now();
+  const auto results = detect::run_multi_detection_sweep(points, runs, engine);
+  const double sweep_wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start)
+          .count();
 
-    for (std::uint64_t c = first; c < last; ++c) {
-      emit_cell(c, results[static_cast<std::size_t>(c - first)]);
-    }
-  });
-
-  std::printf("\n# sweep wall-clock: %.2f s (%u threads, %llu of %llu cells x %d runs)\n",
-              sweep_wall, engine.threads(),
-              static_cast<unsigned long long>(fabric->cell_end() - fabric->cell_begin()),
-              static_cast<unsigned long long>(total_cells), runs);
+  for (std::uint64_t c = 0; c < total_cells; ++c) {
+    emit_cell(c, results[static_cast<std::size_t>(c)]);
+  }
+  sink->flush();
+  std::printf("\n# sweep wall-clock: %.2f s (%u threads, %zu points x %d runs)\n",
+              sweep_wall, engine.threads(), points.size(), runs);
   return 0;
 }

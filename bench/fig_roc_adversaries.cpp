@@ -11,15 +11,9 @@
 // work queue and the scoring is serial in a fixed order: output is
 // bit-identical for any --threads.
 //
-// Fabric layout: one cell per attacker. The two honest baselines (gap
-// bound off/on) are NOT cells — every shard that scores an attacker needs
-// one, so they are memoized in the artifact store ($MANET_ARTIFACTS) as
-// serialized decision streams (detect::serialize_baseline): the first
-// process to need a baseline simulates it under an advisory lock and the
-// rest read the stored blob, so N shards pay for each baseline once.
-// Without a store each process computes the baselines it needs locally.
-// The scoring consumes the parse_baseline round-trip in EVERY case (also
-// serially), so artifacts are bit-identical with or without the store.
+// One pass simulates every attacker; the two honest baselines (gap bound
+// off/on) are simulated the first time an attacker needs one and kept in
+// memory for the rest.
 //
 // The rts_flood points (and their matched honest baseline) enable the
 // anchorless RTS-gap bound (MonitorConfig::rts_gap_bound) — without it a
@@ -29,6 +23,7 @@
 // bound (which also catches ordinary cheats on anchorless retries and
 // would flatten every curve).
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -37,8 +32,6 @@
 #include "bench_common.hpp"
 #include "detect/roc.hpp"
 #include "detect/sequential.hpp"
-#include "exp/artifact_store.hpp"
-#include "exp/rate_cache.hpp"
 
 using namespace manet;
 
@@ -66,7 +59,6 @@ int main(int argc, char** argv) {
   flags.add_int("seed", 601, "base random seed");
   flags.add_double("margin", 0.10, "permissible back-off deficit (fraction of expected mean)");
   flags.add_engine_flags();
-  flags.add_fabric_flags();
   flags.parse_or_exit(argc, argv);
 
   const auto attacker_names = flags.get_name_list("attackers");
@@ -123,8 +115,7 @@ int main(int argc, char** argv) {
   scenario.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   exp::Engine engine = flags.make_engine();
-  const auto fabric =
-      flags.make_fabric(specs.size(), "fig_roc_adversaries");
+  const auto sink = flags.make_sink();
   bench::RateCache rates(scenario);
   const double rate_pps = rates.rate_for(load);
 
@@ -157,36 +148,20 @@ int main(int argc, char** argv) {
   const auto honest_spec = detect::attacker_spec_from_name("honest", tuning);
   const double warmup_s = make_point(honest_spec, false).warmup_s;
 
-  // Honest baselines, memoized per gap-bound variant. The key folds in
-  // everything the baseline's decision stream depends on (the raw flag
-  // text is conservative: a re-spelled but equal value re-computes).
-  const exp::ArtifactStore store;
-  std::optional<std::vector<detect::DetectionResult>> baselines[2];
+  // Honest baselines, one per gap-bound variant, simulated on first use.
+  std::optional<detect::MultiDetectionResult> baselines[2];
   const auto honest_baseline =
       [&](bool gap) -> const std::vector<detect::DetectionResult>& {
     auto& slot = baselines[gap ? 1 : 0];
     if (!slot) {
-      const std::string key =
-          "roc-baseline-v1|" + exp::scenario_fingerprint(scenario) +
-          "|sim=" + flags.get("sim_time") + "|load=" + flags.get("load") +
-          "|ss=" + flags.get("sample_sizes") +
-          "|det=" + flags.get("detectors") + "|margin=" +
-          flags.get("margin") + "|runs=" + std::to_string(runs) +
-          "|gap=" + (gap ? "1" : "0");
-      const std::string blob = store.get_or_compute(key, [&] {
-        const auto result = detect::run_multi_detection_trials(
-            make_point(honest_spec, gap), runs, engine);
-        return detect::serialize_baseline(result.per_config);
-      });
-      slot = detect::parse_baseline(blob);
+      slot = detect::run_multi_detection_trials(make_point(honest_spec, gap),
+                                                runs, engine);
     }
-    return *slot;
+    return slot->per_config;
   };
 
-  const auto emit_cell = [&](std::uint64_t cell,
-                             const detect::MultiDetectionResult& attack) {
-    fabric->begin_cell(cell);
-    const auto ai = static_cast<std::size_t>(cell);
+  const auto emit_attacker = [&](std::size_t ai,
+                                 const detect::MultiDetectionResult& attack) {
     const auto& honest = honest_baseline(uses_gap_bound(specs[ai]));
     for (std::size_t di = 0; di < detectors.size(); ++di) {
     const char* detector = detect::detector_name(detectors[di]);
@@ -234,7 +209,7 @@ int main(int argc, char** argv) {
             .add("max_ttd_s", p.max_ttd_s)
             .add("wall_seconds", attack.wall_seconds)
             .add("threads", engine.threads());
-        fabric->record(rec);
+        sink->record(rec);
       }
 
       // Summary record per (attacker, sample size): the AUC plus TTD at
@@ -262,34 +237,24 @@ int main(int argc, char** argv) {
           .add("ref_median_ttd_s", rp.median_ttd_s)
           .add("first_flag_windows", attack.per_config[ci].stats.windows_to_first_flag)
           .add("threads", engine.threads());
-      fabric->record(summary);
+      sink->record(summary);
     }
     }
   };
 
-  double sweep_wall = 0.0;
-  fabric->run([&](std::uint64_t first, std::uint64_t last) {
-    std::vector<detect::MultiDetectionConfig> chunk;
-    chunk.reserve(static_cast<std::size_t>(last - first));
-    for (std::uint64_t c = first; c < last; ++c) {
-      const auto& spec = specs[static_cast<std::size_t>(c)];
-      chunk.push_back(make_point(spec, uses_gap_bound(spec)));
-    }
+  std::vector<detect::MultiDetectionConfig> points;
+  points.reserve(specs.size());
+  for (const auto& spec : specs) points.push_back(make_point(spec, uses_gap_bound(spec)));
 
-    const auto chunk_start = std::chrono::steady_clock::now();
-    const auto results = detect::run_multi_detection_sweep(chunk, runs, engine);
-    sweep_wall += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                chunk_start)
-                      .count();
+  const auto sweep_start = std::chrono::steady_clock::now();
+  const auto results = detect::run_multi_detection_sweep(points, runs, engine);
+  const double sweep_wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start)
+          .count();
 
-    for (std::uint64_t c = first; c < last; ++c) {
-      emit_cell(c, results[static_cast<std::size_t>(c - first)]);
-    }
-  });
-
-  std::printf("\n# sweep wall-clock: %.2f s (%u threads, %llu of %llu cells x %d runs)\n",
-              sweep_wall, engine.threads(),
-              static_cast<unsigned long long>(fabric->cell_end() - fabric->cell_begin()),
-              static_cast<unsigned long long>(specs.size()), runs);
+  for (std::size_t ai = 0; ai < specs.size(); ++ai) emit_attacker(ai, results[ai]);
+  sink->flush();
+  std::printf("\n# sweep wall-clock: %.2f s (%u threads, %zu points x %d runs)\n",
+              sweep_wall, engine.threads(), points.size(), runs);
   return 0;
 }

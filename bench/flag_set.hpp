@@ -10,9 +10,8 @@
 // prints "flag error: ..." and exits 1. Typed getters after a successful
 // parse cannot throw.
 //
-// The flag groups shared by the sweep benches (--threads/--json, the
-// fabric flags) register with one call and come with their factories
-// (make_engine, make_sink, make_fabric).
+// The flag group shared by the sweep benches (--threads/--json) registers
+// with one call and comes with its factories (make_engine, make_sink).
 #pragma once
 
 #include <cmath>
@@ -24,8 +23,6 @@
 #include <vector>
 
 #include "exp/engine.hpp"
-#include "exp/fabric.hpp"
-#include "exp/shard.hpp"
 #include "exp/sink.hpp"
 #include "util/config.hpp"
 #include "util/flags.hpp"
@@ -168,28 +165,6 @@ class FlagSet {
     return *this;
   }
 
-  /// The distributed-fabric flags of the sharded sweep benches: --shard
-  /// i/N picks a contiguous cell range (exp/shard.hpp), --columnar writes
-  /// the binary artifact, --checkpoint/--checkpoint_cells add durable
-  /// resume. Pair with add_engine_flags() (--json stays the canonical
-  /// text artifact).
-  FlagSet& add_fabric_flags() {
-    add_string("shard", "0/1",
-               "compute the i-th of N contiguous shard cell ranges (i/N); "
-               "concatenating all N artifacts reproduces the serial run");
-    add_string("columnar", "",
-               "write the compact binary columnar artifact (.mcol) to this "
-               "file (sweep_merge turns shards back into the JSON artifact)");
-    add_string("checkpoint", "",
-               "durable progress journal for this shard: an interrupted run "
-               "resumes at the last committed chunk (requires --columnar, "
-               "excludes --json)");
-    add_int("checkpoint_cells", 16,
-            "cells per durability commit (sink flush + fsync + journal)");
-    has_fabric_flags_ = true;
-    return *this;
-  }
-
   // --- parsing --------------------------------------------------------------
 
   /// Parses --key=value flags and eagerly validates every registered flag.
@@ -254,58 +229,6 @@ class FlagSet {
       return std::make_shared<exp::JsonFileSink>(path);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "flag error: --json: %s\n", e.what());
-      std::exit(1);
-    }
-  }
-
-  /// Shard-independent fingerprint of the sweep this invocation computes:
-  /// the bench name plus every registered flag that changes record
-  /// CONTENT. Flags that only change how/where the sweep executes
-  /// (--threads, --shard, sink paths, checkpointing — all documented
-  /// bit-identical) are excluded, so all shards of one sweep agree on the
-  /// fingerprint and sweep_merge can verify they belong together.
-  std::string sweep_fingerprint(const std::string& bench) const {
-    static constexpr const char* kExecutionFlags[] = {
-        "threads", "json",  "columnar", "checkpoint",
-        "shard",   "trace", "checkpoint_cells"};
-    std::string fp = "sweep1|" + bench;
-    for (const std::string& key : config_.keys()) {
-      bool execution_only = false;
-      for (const char* ex : kExecutionFlags) {
-        if (key == ex) {
-          execution_only = true;
-          break;
-        }
-      }
-      if (!execution_only) fp += "|" + key + "=" + config_.get(key);
-    }
-    return fp;
-  }
-
-  /// The --shard spec (requires add_fabric_flags()).
-  exp::ShardSpec shard() const {
-    return exp::ShardSpec::parse(config_.get("shard"));
-  }
-
-  /// The sharded sweep driver wired from the fabric + engine flags
-  /// (requires add_fabric_flags()). Exits with "flag error: ..." on
-  /// invalid combinations, like parse_or_exit.
-  std::unique_ptr<exp::SweepFabric> make_fabric(
-      std::uint64_t total_cells, const std::string& bench) const {
-    try {
-      exp::FabricConfig fc;
-      fc.total_cells = total_cells;
-      fc.shard = shard();
-      fc.sweep_fingerprint = sweep_fingerprint(bench);
-      fc.bench = bench;
-      fc.json_path = config_.get("json");
-      fc.columnar_path = config_.get("columnar");
-      fc.checkpoint_path = config_.get("checkpoint");
-      fc.checkpoint_cells =
-          static_cast<std::uint64_t>(config_.get_int("checkpoint_cells"));
-      return std::make_unique<exp::SweepFabric>(std::move(fc));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "flag error: %s\n", e.what());
       std::exit(1);
     }
   }
@@ -376,23 +299,12 @@ class FlagSet {
     if (has_engine_flags_ && config_.get_int("threads") < 0) {
       throw util::ConfigError("--threads must be >= 0");
     }
-    if (has_fabric_flags_) {
-      try {
-        exp::ShardSpec::parse(config_.get("shard"));
-      } catch (const util::ConfigError& e) {
-        throw util::ConfigError("--shard: " + std::string(e.what()));
-      }
-      if (config_.get_int("checkpoint_cells") < 1) {
-        throw util::ConfigError("--checkpoint_cells must be >= 1");
-      }
-    }
   }
 
   util::Config config_;
   std::string description_;
   std::vector<std::pair<std::string, Kind>> typed_;
   bool has_engine_flags_ = false;
-  bool has_fabric_flags_ = false;
 };
 
 }  // namespace manet::bench

@@ -10,7 +10,7 @@
 //  * columnar_sink_write  — ColumnarFileSink end-to-end: per-column
 //                           encode (raw 8-byte doubles, varints,
 //                           dictionary strings) + CRC framing + stream.
-//                           The fabric's high-rate path; the summary
+//                           The high-rate path; the summary
 //                           record quotes columnar-vs-JSON write speedup
 //                           (target >= 10x) and artifact size ratio (~5x).
 //  * columnar_read        — read_columnar_file: full validation (CRCs,

@@ -23,10 +23,9 @@ strip_timing() {  # wall-clock and thread count are the only fields allowed to d
 
 echo "== artifact determinism gates (plain build) =="
 # Every sweep artifact must be byte-identical (timing stripped) across
-# --threads=1 / 4, across channel receiver-lookup modes, and across shard
-# splits merged back by sweep_merge. (fig5 and the 3x3 all-pairs sweep
-# get the same diffs under the sanitizers below.)
-export MANET_RATE_CACHE="$smoke_dir/rates" MANET_ARTIFACTS="$smoke_dir/artifacts"
+# --threads=1 / 4 and across channel receiver-lookup modes. (fig5 and the
+# 3x3 all-pairs sweep get the same diffs under the sanitizers below.)
+export MANET_RATE_CACHE="$smoke_dir/rates"
 same_across_threads() {  # $1 bench, $2 tag, then sweep flags...
   local bench=$1 tag=$2
   shift 2
@@ -43,6 +42,9 @@ same_across_threads fig5d_detection_mobile fig5d --pms=50 \
     --sample_sizes=10,25 --sim_time=40 --runs=2
 same_across_threads fig_allpairs_monitoring deg8 --grid_spacing=170 \
     --loads=0.6 --pms=0,50 --sim_time=20 --runs=2
+same_across_threads fig_roc_adversaries roc \
+    --attackers=pm50,colluding,sybil,rts_flood --thresholds=0.001,0.01 \
+    --sim_time=15 --runs=2
 # The receiver-lookup index is a lookup strategy, never a physics change:
 # the 56-radio Table-1 sweep (cell probe, static audible lists), the mobile
 # sweep (cell probe, moving radios) and the 9-radio degree-8 all-pairs
@@ -65,23 +67,7 @@ diff <(strip_timing "$smoke_dir/fig5d_t1.json") \
 diff <(strip_timing "$smoke_dir/deg8_t1.json") \
      <(strip_timing "$smoke_dir/deg8_scan.json") \
   || { echo "deg8 all-pairs output differs between the index and the full scan"; exit 1; }
-# Shard splits, including more shards than cells (empty trailing ranges).
-roc_shard_flags=(--attackers=pm50,colluding,sybil,rts_flood
-                 --thresholds=0.001,0.01 --sim_time=15 --runs=2 --threads=1)
-./build/bench/fig_roc_adversaries "${roc_shard_flags[@]}" \
-    --json="$smoke_dir/roc_serial.json" >/dev/null
-for n in 2 7; do
-  for ((i = 0; i < n; ++i)); do
-    ./build/bench/fig_roc_adversaries "${roc_shard_flags[@]}" --shard="$i/$n" \
-        --columnar="$smoke_dir/roc_${i}_of_${n}.mcol" >/dev/null
-  done
-  ./build/tools/sweep_merge --json="$smoke_dir/roc_merged_$n.json" \
-      "$smoke_dir"/roc_*_of_"$n".mcol >/dev/null
-  diff <(strip_timing "$smoke_dir/roc_serial.json") \
-       <(strip_timing "$smoke_dir/roc_merged_$n.json") \
-    || { echo "ROC sweep with $n shards merges to a different artifact"; exit 1; }
-done
-unset MANET_RATE_CACHE MANET_ARTIFACTS
+unset MANET_RATE_CACHE
 
 echo "== ASan + UBSan build =="
 # A build-asan dir configured without sanitizers (e.g. a copied plain build)
@@ -123,7 +109,7 @@ diff <(strip_timing "$smoke_dir/fig5.json") \
   || { echo "parallel sweep output differs from serial"; exit 1; }
 
 echo "== perf smoke (ASan + UBSan) =="
-# The spatial-index / pair-cache fast path must not change results: the
+# The spatial-index fast path must not change results: the
 # serial-vs-parallel diff above already ran on the optimized kernel; here a
 # fixed-iteration pass over the micro benches walks the optimized EventQueue,
 # CsTimeline sweep, and channel grid under the sanitizers.
@@ -196,68 +182,10 @@ diff "$smoke_dir/live_mobile.txt" "$smoke_dir/replay_mobile.txt" \
 ./build-asan/bench/micro_ingest \
     --filter=replay_batch_wilcoxon --reps=0.1 >/dev/null
 
-echo "== sharded sweep fabric (ASan + UBSan) =="
-# The fig5 sweep as 3 independent shard processes writing binary columnar
-# artifacts; sweep_merge validates the set and renders the canonical JSON,
-# which must be byte-identical to the serial single-process artifact from
-# the determinism stage above.
-fig5_flags=(--loads=0.6 --pms=0,50 --sim_time=20 --runs=4 --threads=1)
-for i in 0 1 2; do
-  ./build-asan/bench/fig5_detection_static "${fig5_flags[@]}" \
-      --shard="$i/3" --columnar="$smoke_dir/fab_$i.mcol" >/dev/null
-done
-./build-asan/tools/sweep_merge --json="$smoke_dir/fab_merged.json" \
-    "$smoke_dir"/fab_{0,1,2}.mcol >/dev/null
-diff <(strip_timing "$smoke_dir/fab_merged.json") \
-     <(strip_timing "$smoke_dir/fig5_serial.json") \
-  || { echo "sharded merge differs from the serial artifact"; exit 1; }
-# The merge tool must REFUSE defective shard sets: a missing shard (gap),
-# a doubled shard (overlap), a shard from a different sweep (fingerprint
-# mismatch), and a corrupted artifact (CRC).
-expect_merge_failure() {  # $1 description, then sweep_merge args...
-  local what=$1
-  shift
-  if ./build-asan/tools/sweep_merge "$@" >/dev/null 2>"$smoke_dir/merge_err"; then
-    echo "sweep_merge accepted a defective shard set ($what)"; exit 1
-  fi
-  echo "  sweep_merge refused $what: $(head -1 "$smoke_dir/merge_err")"
-}
-expect_merge_failure "a coverage gap" "$smoke_dir"/fab_{0,2}.mcol
-expect_merge_failure "an overlap" "$smoke_dir"/fab_{0,1,1,2}.mcol
-./build-asan/bench/fig5_detection_static --loads=0.6 --pms=0,25 \
-    --sim_time=20 --runs=4 --threads=1 --shard=2/3 \
-    --columnar="$smoke_dir/fab_other.mcol" >/dev/null
-expect_merge_failure "a sweep fingerprint mismatch" \
-    "$smoke_dir"/fab_{0,1}.mcol "$smoke_dir/fab_other.mcol"
-cp "$smoke_dir/fab_1.mcol" "$smoke_dir/fab_bad.mcol"
-printf '\x5a' | dd of="$smoke_dir/fab_bad.mcol" bs=1 seek=200 conv=notrunc \
-    status=none
-expect_merge_failure "a CRC-corrupt artifact" \
-    "$smoke_dir/fab_0.mcol" "$smoke_dir/fab_bad.mcol" "$smoke_dir/fab_2.mcol"
-
-echo "== checkpoint/resume (ASan + UBSan) =="
-# Kill a checkpointing shard mid-run (SIGKILL: no destructors, the sink
-# keeps a partial tail past the journal offset), rerun the identical
-# command to resume, and require the artifact to match the serial JSON.
-# If the machine is fast enough that the first attempt finishes before
-# the kill, the rerun is a fresh complete run — the comparison still holds.
-ck_flags=("${fig5_flags[@]}" --checkpoint_cells=1
-          --columnar="$smoke_dir/ck.mcol" --checkpoint="$smoke_dir/ck.journal")
-timeout -s KILL 3 ./build-asan/bench/fig5_detection_static \
-    "${ck_flags[@]}" >/dev/null || true
-./build-asan/bench/fig5_detection_static "${ck_flags[@]}" >/dev/null
-[[ ! -e "$smoke_dir/ck.journal" ]] \
-  || { echo "checkpoint journal not removed after completion"; exit 1; }
-./build-asan/tools/sweep_merge --json="$smoke_dir/ck.json" \
-    "$smoke_dir/ck.mcol" >/dev/null
-diff <(strip_timing "$smoke_dir/ck.json") \
-     <(strip_timing "$smoke_dir/fig5_serial.json") \
-  || { echo "resumed run differs from the serial artifact"; exit 1; }
-
 echo "== scale kernel smoke (ASan + UBSan) =="
 # 1k mobile nodes through the incremental spatial index: cell migrations,
-# the predicted-position prefilter, the parked-pair cache, and the
-# timeline hard budgets all run instrumented.
+# the predicted-position prefilter, and the timeline hard budgets all run
+# instrumented.
 ./build-asan/bench/fig_scale_sweep --nodes=1000 --sim_time=2 \
     --cache_stats=1 --json="$smoke_dir/scale_1k.json" >/dev/null
 grep -q '^{' "$smoke_dir/scale_1k.json" \
@@ -279,10 +207,10 @@ diff <(strip_scale "$smoke_dir/scale_inc.json") \
      <(strip_scale "$smoke_dir/scale_scan.json") \
   || { echo "incremental index output differs from full-scan reference"; exit 1; }
 
-echo "== ThreadSanitizer: engine fan-out, sinks, fabric =="
+echo "== ThreadSanitizer: engine fan-out and sinks =="
 # TSan build scoped to the concurrency-bearing layer: the exp engine's
-# worker pool, the (mutex-guarded) result sinks, the fabric, and a
-# multi-threaded sweep driving them all. ASan and TSan cannot share a
+# worker pool, the (mutex-guarded) result sinks, and a multi-threaded
+# sweep driving them. ASan and TSan cannot share a
 # build, hence the third tree.
 if [[ -f build-tsan/CMakeCache.txt ]] && \
    ! grep -q '^MANET_TSAN:BOOL=ON' build-tsan/CMakeCache.txt; then
@@ -293,9 +221,8 @@ if [[ -f build-tsan/CMakeCache.txt ]] && \
 fi
 cmake -B build-tsan -S . -DMANET_TSAN=ON >/dev/null
 cmake --build build-tsan -j "$jobs" \
-    --target exp_test fabric_test fig5_detection_static
+    --target exp_test fig5_detection_static
 ./build-tsan/tests/exp_test >/dev/null
-./build-tsan/tests/fabric_test >/dev/null
 ./build-tsan/bench/fig5_detection_static --loads=0.6 --pms=0,50 \
     --sim_time=10 --runs=4 --threads=4 \
     --json="$smoke_dir/tsan_fig5.json" >/dev/null

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <stdexcept>
 
 #include "util/config.hpp"
 
@@ -158,106 +156,6 @@ AttackerSpec attacker_spec_from_name(const std::string& name,
 
 std::vector<std::string> default_attacker_names() {
   return {"pm50", "pm90", "colluding", "adaptive", "sybil", "rts_flood"};
-}
-
-namespace {
-
-// Baseline blob layout: "MROC1" then little-endian fixed-width counts and
-// windows. Doubles are raw IEEE754 so the round-trip is bit-exact.
-constexpr char kBaselineMagic[5] = {'M', 'R', 'O', 'C', '1'};
-
-void append_u32(std::string& out, std::uint32_t v) {
-  char raw[4];
-  std::memcpy(raw, &v, 4);
-  out.append(raw, 4);
-}
-
-void append_window(std::string& out, const WindowResult& w) {
-  char raw[8];
-  std::memcpy(raw, &w.at, 8);
-  out.append(raw, 8);
-  std::memcpy(raw, &w.p_less, 8);
-  out.append(raw, 8);
-  out.push_back(w.statistical_flag ? 1 : 0);
-  out.push_back(w.deterministic_flag ? 1 : 0);
-}
-
-class BaselineReader {
- public:
-  explicit BaselineReader(const std::string& blob) : blob_(blob) {}
-
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v;
-    std::memcpy(&v, blob_.data() + pos_, 4);
-    pos_ += 4;
-    return v;
-  }
-
-  WindowResult window() {
-    need(18);
-    WindowResult w;
-    std::memcpy(&w.at, blob_.data() + pos_, 8);
-    std::memcpy(&w.p_less, blob_.data() + pos_ + 8, 8);
-    w.statistical_flag = blob_[pos_ + 16] != 0;
-    w.deterministic_flag = blob_[pos_ + 17] != 0;
-    pos_ += 18;
-    return w;
-  }
-
-  void expect_magic() {
-    need(sizeof kBaselineMagic);
-    if (std::memcmp(blob_.data(), kBaselineMagic, sizeof kBaselineMagic) != 0) {
-      throw std::runtime_error("baseline blob: bad magic");
-    }
-    pos_ = sizeof kBaselineMagic;
-  }
-
-  void expect_done() const {
-    if (pos_ != blob_.size()) {
-      throw std::runtime_error("baseline blob: trailing bytes");
-    }
-  }
-
- private:
-  void need(std::size_t n) const {
-    if (n > blob_.size() - pos_) {
-      throw std::runtime_error("baseline blob: truncated");
-    }
-  }
-
-  const std::string& blob_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::string serialize_baseline(const std::vector<DetectionResult>& per_config) {
-  std::string out(kBaselineMagic, sizeof kBaselineMagic);
-  append_u32(out, static_cast<std::uint32_t>(per_config.size()));
-  for (const DetectionResult& config : per_config) {
-    append_u32(out, static_cast<std::uint32_t>(config.trial_logs.size()));
-    for (const auto& trial : config.trial_logs) {
-      append_u32(out, static_cast<std::uint32_t>(trial.size()));
-      for (const WindowResult& w : trial) append_window(out, w);
-    }
-  }
-  return out;
-}
-
-std::vector<DetectionResult> parse_baseline(const std::string& blob) {
-  BaselineReader in(blob);
-  in.expect_magic();
-  std::vector<DetectionResult> per_config(in.u32());
-  for (DetectionResult& config : per_config) {
-    config.trial_logs.resize(in.u32());
-    for (auto& trial : config.trial_logs) {
-      trial.resize(in.u32());
-      for (WindowResult& w : trial) w = in.window();
-    }
-  }
-  in.expect_done();
-  return per_config;
 }
 
 }  // namespace manet::detect

@@ -77,19 +77,6 @@ struct AttackerTuning {
   double flood_pps = 1000.0;
 };
 
-/// Serializes the per-config trial decision streams of a baseline run
-/// (DetectionResult::trial_logs for every monitor config, exactly the
-/// fields score_roc_curve reads from its `honest` argument) into a
-/// compact binary blob. fig_roc_adversaries memoizes honest baselines in
-/// the fabric's artifact store with this, so N shards (or N repeated
-/// runs) simulate each baseline once. Doubles travel as raw IEEE754, so
-/// a round-trip is bit-exact.
-std::string serialize_baseline(const std::vector<DetectionResult>& per_config);
-
-/// Inverse of serialize_baseline. Only trial_logs is populated in the
-/// returned results. Throws std::runtime_error on a malformed blob.
-std::vector<DetectionResult> parse_baseline(const std::string& blob);
-
 /// Maps an attacker name onto a spec: "honest", "pm<percent>" (e.g.
 /// "pm50"), "colluding", "adaptive", "sybil", "rts_flood". Throws
 /// util::ConfigError on anything else (strict: no std::stod leniency).

@@ -1,8 +1,6 @@
 #include "exp/columnar.hpp"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
+#include <charconv>
 #include <cstring>
 #include <stdexcept>
 
@@ -18,7 +16,7 @@ constexpr std::uint8_t kKindData = 2;
 constexpr std::uint32_t kVersion = 1;
 constexpr char kMagic[4] = {'M', 'C', 'O', 'L'};
 
-// Meta keys the merge tool consults; everything else in the header is
+// Meta keys with ColumnarMeta fields; everything else in the header is
 // free-form.
 constexpr const char* kMetaSweep = "sweep";
 constexpr const char* kMetaBench = "bench";
@@ -70,6 +68,15 @@ class Cursor {
   }
 
   bool done() const { return pos_ == size_; }
+  std::size_t remaining() const { return size_ - pos_; }
+
+  /// The next `n` bytes, in place.
+  const std::uint8_t* take(std::uint64_t n) {
+    need(n);
+    const std::uint8_t* p = data_ + pos_;
+    pos_ += static_cast<std::size_t>(n);
+    return p;
+  }
 
   std::uint8_t u8() {
     need(1);
@@ -141,6 +148,18 @@ std::string schema_signature(const Record& r) {
 
 std::string meta_u64(std::uint64_t v) { return std::to_string(v); }
 
+/// Inverse of meta_u64: the whole value must be a decimal u64.
+std::uint64_t parse_meta_u64(const Cursor& body, const std::string& key,
+                             const std::string& value) {
+  std::uint64_t v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (value.empty() || ec != std::errc() || ptr != end) {
+    body.fail("header value of '" + key + "' is not an unsigned integer");
+  }
+  return v;
+}
+
 }  // namespace
 
 ColumnarFileSink::ColumnarFileSink(std::string path, ColumnarMeta meta)
@@ -151,101 +170,6 @@ ColumnarFileSink::ColumnarFileSink(std::string path, ColumnarMeta meta)
   }
   std::fwrite(kMagic, 1, 4, file_);
   write_header();
-}
-
-ColumnarFileSink::ColumnarFileSink(std::string path, ColumnarMeta meta,
-                                   std::uint64_t resume_offset)
-    : path_(std::move(path)), meta_(std::move(meta)), cell_(meta_.cell_begin) {
-  // Validate the durable prefix, then reopen for appending at the offset.
-  {
-    std::FILE* in = std::fopen(path_.c_str(), "rb");
-    if (!in) {
-      throw std::runtime_error("columnar resume: missing file: " + path_);
-    }
-    std::string bytes;
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) bytes.append(buf, n);
-    std::fclose(in);
-    if (bytes.size() < resume_offset) {
-      throw std::runtime_error("columnar resume: " + path_ + " is shorter (" +
-                               std::to_string(bytes.size()) +
-                               " bytes) than the journal offset " +
-                               std::to_string(resume_offset));
-    }
-    bytes.resize(static_cast<std::size_t>(resume_offset));
-
-    // Walk the prefix: magic, then whole blocks ending exactly at the
-    // offset. CRCs are checked; schema blocks rebuild the registry.
-    const auto* data = reinterpret_cast<const std::uint8_t*>(bytes.data());
-    Cursor cur(data, bytes.size(), "columnar resume " + path_);
-    char magic[4];
-    for (char& c : magic) c = static_cast<char>(cur.u8());
-    if (std::memcmp(magic, kMagic, 4) != 0) cur.fail("bad magic");
-    bool saw_header = false;
-    while (!cur.done()) {
-      const std::uint8_t kind = cur.u8();
-      const std::uint32_t len = cur.u32();
-      const std::uint32_t crc = cur.u32();
-      std::vector<std::uint8_t> payload(len);
-      for (std::uint32_t i = 0; i < len; ++i) payload[i] = cur.u8();
-      if (util::crc32(payload.data(), payload.size()) != crc) {
-        cur.fail("CRC mismatch in durable prefix");
-      }
-      Cursor body(payload.data(), payload.size(),
-                  "columnar resume " + path_ + " block");
-      if (kind == kKindHeader) {
-        if (body.u32() != kVersion) body.fail("unsupported version");
-        const std::uint32_t count = body.u32();
-        std::string sweep, bench, shard;
-        std::uint64_t total = 0, begin = 0, end = 0;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const std::string key = body.str();
-          const std::string value = body.str();
-          if (key == kMetaSweep) sweep = value;
-          else if (key == kMetaBench) bench = value;
-          else if (key == kMetaShard) shard = value;
-          else if (key == kMetaTotalCells) total = std::stoull(value);
-          else if (key == kMetaCellBegin) begin = std::stoull(value);
-          else if (key == kMetaCellEnd) end = std::stoull(value);
-        }
-        if (sweep != meta_.sweep || bench != meta_.bench ||
-            shard != meta_.shard || total != meta_.total_cells ||
-            begin != meta_.cell_begin || end != meta_.cell_end) {
-          body.fail("header disagrees with the resuming sweep (sweep/"
-                    "bench/shard/cell-range mismatch)");
-        }
-        saw_header = true;
-      } else if (kind == kKindSchema) {
-        const std::uint32_t id = body.u32();
-        const std::uint32_t fields = body.u32();
-        std::string sig;
-        for (std::uint32_t i = 0; i < fields; ++i) {
-          const std::string key = body.str();
-          const std::uint8_t type = body.u8();
-          sig += static_cast<char>('0' + type);
-          sig += key;
-          sig += '\0';
-        }
-        if (id != schemas_.size()) body.fail("schema ids out of order");
-        schemas_.emplace_back(std::move(sig), id);
-      } else if (kind != kKindData) {
-        cur.fail("unknown block kind " + std::to_string(kind));
-      }
-    }
-    if (!saw_header) cur.fail("no header block in durable prefix");
-  }
-
-  file_ = std::fopen(path_.c_str(), "r+b");
-  if (!file_) {
-    throw std::runtime_error("cannot reopen columnar sink file: " + path_);
-  }
-  if (::ftruncate(::fileno(file_), static_cast<off_t>(resume_offset)) != 0) {
-    std::fclose(file_);
-    file_ = nullptr;
-    throw std::runtime_error("columnar resume: cannot truncate " + path_);
-  }
-  std::fseek(file_, 0, SEEK_END);
 }
 
 ColumnarFileSink::~ColumnarFileSink() {
@@ -414,13 +338,6 @@ void ColumnarFileSink::flush() {
   std::fflush(file_);
 }
 
-std::uint64_t ColumnarFileSink::sync() {
-  flush();
-  ::fsync(::fileno(file_));
-  const off_t pos = ::lseek(::fileno(file_), 0, SEEK_END);
-  return static_cast<std::uint64_t>(pos);
-}
-
 ColumnarFile read_columnar_file(const std::string& path) {
   std::FILE* in = std::fopen(path.c_str(), "rb");
   if (!in) {
@@ -451,13 +368,11 @@ ColumnarFile read_columnar_file(const std::string& path) {
     const std::uint8_t kind = cur.u8();
     const std::uint32_t len = cur.u32();
     const std::uint32_t crc = cur.u32();
-    std::vector<std::uint8_t> payload(len);
-    for (std::uint32_t i = 0; i < len; ++i) payload[i] = cur.u8();
-    if (util::crc32(payload.data(), payload.size()) != crc) {
+    const std::uint8_t* payload = cur.take(len);
+    if (util::crc32(payload, len) != crc) {
       cur.fail("CRC mismatch (corrupt block)");
     }
-    Cursor body(payload.data(), payload.size(),
-                "columnar file " + path + " block");
+    Cursor body(payload, len, "columnar file " + path + " block");
 
     if (kind == kKindHeader) {
       if (saw_header) body.fail("duplicate header block");
@@ -466,12 +381,13 @@ ColumnarFile read_columnar_file(const std::string& path) {
       for (std::uint32_t i = 0; i < count; ++i) {
         const std::string key = body.str();
         const std::string value = body.str();
+        const auto u64 = [&] { return parse_meta_u64(body, key, value); };
         if (key == kMetaSweep) out.meta.sweep = value;
         else if (key == kMetaBench) out.meta.bench = value;
         else if (key == kMetaShard) out.meta.shard = value;
-        else if (key == kMetaTotalCells) out.meta.total_cells = std::stoull(value);
-        else if (key == kMetaCellBegin) out.meta.cell_begin = std::stoull(value);
-        else if (key == kMetaCellEnd) out.meta.cell_end = std::stoull(value);
+        else if (key == kMetaTotalCells) out.meta.total_cells = u64();
+        else if (key == kMetaCellBegin) out.meta.cell_begin = u64();
+        else if (key == kMetaCellEnd) out.meta.cell_end = u64();
         else out.meta.extra.emplace_back(key, value);
       }
       if (!body.done()) body.fail("trailing bytes in header block");
@@ -507,6 +423,13 @@ ColumnarFile read_columnar_file(const std::string& path) {
     const auto& schema = schemas[schema_id];
     const std::uint32_t count = body.u32();
     if (count == 0) body.fail("empty data block");
+    // Every record takes at least one byte for its cell and one per field,
+    // so the block's remaining bytes bound the count before anything is
+    // allocated from it.
+    if (count > body.remaining() / (1 + schema.size())) {
+      body.fail("record count " + std::to_string(count) +
+                " exceeds what the block can hold");
+    }
 
     std::vector<std::uint64_t> cells(count);
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -556,6 +479,10 @@ ColumnarFile read_columnar_file(const std::string& path) {
           break;
         default: {
           const std::uint64_t dict_size = body.varu();
+          // Each entry takes at least its one-byte length.
+          if (dict_size > body.remaining()) {
+            body.fail("string dictionary size exceeds the block's bytes");
+          }
           std::vector<std::string> dict;
           dict.reserve(static_cast<std::size_t>(dict_size));
           for (std::uint64_t i = 0; i < dict_size; ++i) dict.push_back(body.str());

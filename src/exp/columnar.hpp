@@ -1,12 +1,12 @@
-// Binary columnar result artifacts (.mcol) — the fabric's high-rate sink.
+// Binary columnar result artifacts (.mcol) — the high-rate sink.
 //
 // The JSON sink renders every field with snprintf and repeats every key in
-// every record; at millions of (point, trial) cells the sink becomes the
-// sweep bottleneck and the artifact dwarfs the data in it. The columnar
-// sink writes the SAME exp::Record stream as a compact, CRC-framed,
-// little-endian binary that round-trips records exactly: reconstructing
-// the records and rendering them with Record::to_json reproduces the JSON
-// artifact byte for byte (tools/sweep_merge does exactly that).
+// every record; at hundreds of thousands of records (the all-pairs
+// workload's per-window verdict log) the sink becomes the bottleneck and
+// the artifact dwarfs the data in it. The columnar sink writes the SAME
+// exp::Record stream as a compact, CRC-framed, little-endian binary that
+// round-trips records exactly: reconstructing the records and rendering
+// them with Record::to_json reproduces the JSON artifact byte for byte.
 //
 // Layout (all integers little-endian, "varu" = LEB128, "str" = varu length
 // + bytes, "vari" = zigzag LEB128):
@@ -27,16 +27,14 @@
 // A schema block is emitted the first time a record shape (ordered keys +
 // types) appears; data blocks hold up to kBlockRecords records of one
 // schema and close early on a schema change or an explicit flush().
-// Because flush points are a pure function of the record stream and the
-// checkpoint cadence, a killed-and-resumed shard reproduces the
-// uninterrupted shard's bytes exactly.
 //
-// The header meta identifies the shard for the merge tool: the
-// shard-independent sweep fingerprint, total cell count, and this file's
-// owned [cell_begin, cell_end) range. Readers validate magic, version,
-// every CRC, schema references, and that cell indices are non-decreasing
-// and inside the declared range; any violation throws with the defect
-// named.
+// The header meta names the generating sweep, its total cell count, and
+// this file's [cell_begin, cell_end) cell range. The reader validates
+// magic, version, every CRC, schema references, and that cell indices are
+// non-decreasing and inside the declared range. It checks every length it
+// reads against the bytes that remain before allocating from it, so a
+// hostile file costs at most memory proportional to its size; any
+// violation throws std::runtime_error with the defect named.
 #pragma once
 
 #include <cstdint>
@@ -51,16 +49,15 @@
 namespace manet::exp {
 
 struct ColumnarMeta {
-  /// Shard-independent fingerprint of the generating sweep (bench name +
-  /// every content-affecting flag); merge refuses to mix files that
-  /// disagree.
+  /// Fingerprint of the generating sweep (bench name + every
+  /// content-affecting setting).
   std::string sweep;
   std::string bench;
   std::string shard = "0/1";  // "i/N", informational
   std::uint64_t total_cells = 0;
   std::uint64_t cell_begin = 0;
   std::uint64_t cell_end = 0;
-  /// Free-form extra key/value pairs (not consulted by the merge tool).
+  /// Free-form extra key/value pairs.
   std::vector<std::pair<std::string, std::string>> extra;
 };
 
@@ -71,27 +68,14 @@ class ColumnarFileSink final : public ResultSink {
   /// Opens (truncates) `path` and writes the header block.
   ColumnarFileSink(std::string path, ColumnarMeta meta);
 
-  /// Reopens an existing shard artifact at a durable byte offset (from
-  /// the checkpoint journal): validates the header matches `meta`,
-  /// replays the blocks before `resume_offset` to rebuild the schema
-  /// table, truncates everything past the offset, and appends. Throws
-  /// std::runtime_error when the file is missing, shorter than the
-  /// offset, CRC-corrupt, or disagrees with `meta`.
-  ColumnarFileSink(std::string path, ColumnarMeta meta,
-                   std::uint64_t resume_offset);
-
   ~ColumnarFileSink() override;
 
-  /// Stamps subsequent records with this cell index (the fabric driver
-  /// calls it before emitting a cell's records).
+  /// Stamps subsequent records with this cell index (call it before
+  /// emitting a cell's records).
   void begin_cell(std::uint64_t cell) { cell_ = cell; }
 
   void record(const Record& r) override;
   void flush() override;  // closes the open data block, fflushes
-
-  /// flush() + fsync; returns the durable byte size (the offset the
-  /// checkpoint journal records).
-  std::uint64_t sync();
 
   const std::string& path() const { return path_; }
   const ColumnarMeta& meta() const { return meta_; }

@@ -1,16 +1,63 @@
 #include "exp/rate_cache.hpp"
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
-#include "exp/artifact_store.hpp"
 #include "net/network.hpp"
 
 namespace manet::exp {
 
 namespace {
+
+/// RAII advisory lock on a dedicated lock file. `ok()` is false when the
+/// lock file could not be created.
+class FileLock {
+ public:
+  explicit FileLock(const std::string& path) {
+    fd_ = ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+    if (fd_ >= 0) ::flock(fd_, LOCK_EX);
+  }
+  ~FileLock() {
+    if (fd_ >= 0) {
+      ::flock(fd_, LOCK_UN);
+      ::close(fd_);
+    }
+  }
+  bool ok() const { return fd_ >= 0; }
+
+ private:
+  int fd_ = -1;
+};
+
+/// The whole file, or "" when it cannot be opened.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// Writes `value` to `path` via unique temp + fsync + rename. Returns
+/// false on any failure.
+bool write_file_atomic(const std::string& path, const std::string& value) {
+  const std::string tmp =
+      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  std::FILE* out = std::fopen(tmp.c_str(), "wb");
+  if (!out) return false;
+  bool ok = value.empty() ||
+            std::fwrite(value.data(), 1, value.size(), out) == value.size();
+  ok = ok && std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
+  std::fclose(out);
+  if (ok) ok = std::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!ok) ::unlink(tmp.c_str());
+  return ok;
+}
 
 std::string format_load(double load) {
   char buf[64];
@@ -27,8 +74,9 @@ void default_setup(net::Network& net) {
   net.build_random_flows();
 }
 
-}  // namespace
-
+/// Folds every scenario field that changes the load <-> rate mapping into
+/// a single token (calibration probes depend on topology, traffic shape,
+/// mobility, MAC timing and the seed of the probe run).
 std::string scenario_fingerprint(const net::ScenarioConfig& s) {
   std::ostringstream out;
   out << "v1"
@@ -48,6 +96,16 @@ std::string scenario_fingerprint(const net::ScenarioConfig& s) {
       << s.prop.shadowing_sigma_db
       << "|flt=" << s.faults.loss_probability << ":" << s.faults.corrupt_probability;
   return out.str();
+}
+
+}  // namespace
+
+bool atomic_file_update(
+    const std::string& path,
+    const std::function<std::string(const std::string&)>& update) {
+  FileLock lock(path + ".lock");
+  if (!lock.ok()) return false;
+  return write_file_atomic(path, update(read_file(path)));
 }
 
 RateCache::RateCache(net::ScenarioConfig scenario, std::string cache_file,
@@ -117,11 +175,11 @@ bool RateCache::file_lookup(double load, double* rate) const {
 
 void RateCache::file_store(double load, double rate) const {
   if (cache_file_.empty()) return;
-  // Concurrent bench processes (sharded sweeps!) may store entries at the
-  // same time; a plain append can interleave partial lines. Rewrite the
-  // file atomically under an advisory lock, merging our entry into
-  // whatever the file holds by then — the cache is best-effort, so a
-  // failure to lock or write just means this calibration is not shared.
+  // Concurrent bench processes may store entries at the same time; a
+  // plain append can interleave partial lines. Rewrite the file atomically
+  // under an advisory lock, merging our entry into whatever the file holds
+  // by then — the cache is best-effort, so a failure to lock or write just
+  // means this calibration is not shared.
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", rate);
   const std::string entry =

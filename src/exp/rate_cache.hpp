@@ -23,12 +23,15 @@
 
 namespace manet::exp {
 
-/// Folds every scenario field that changes the load <-> rate mapping into
-/// a single token (calibration probes depend on topology, traffic shape,
-/// mobility, MAC timing and the seed of the probe run). Shared with the
-/// fabric's artifact keys: anything derived from a scenario's simulations
-/// is content-addressed by this fingerprint.
-std::string scenario_fingerprint(const net::ScenarioConfig& s);
+/// Rewrites `path` atomically under an advisory lock: `update` receives
+/// the current content ("" when absent) and returns the replacement,
+/// which lands via temp file + fsync + rename. Concurrent callers
+/// serialize on `path + ".lock"`, so read-modify-write cycles (the rate
+/// cache merging a new entry) never lose each other's updates. Returns
+/// false (without calling `update`) when the lock file cannot be created.
+bool atomic_file_update(
+    const std::string& path,
+    const std::function<std::string(const std::string&)>& update);
 
 class RateCache {
  public:
@@ -44,10 +47,6 @@ class RateCache {
   /// Calibrates at most once per load; safe to call from worker threads.
   double rate_for(double load);
 
-  /// Identifies the scenario in the file cache: every field that changes
-  /// the load <-> rate mapping is folded in.
-  const std::string& fingerprint() const { return fingerprint_; }
-
  private:
   struct Slot {
     std::once_flag once;
@@ -59,7 +58,7 @@ class RateCache {
   void file_store(double load, double rate) const;
 
   net::ScenarioConfig scenario_;
-  std::string fingerprint_;
+  std::string fingerprint_;  // identifies the scenario in the file cache
   std::string cache_file_;
   Calibrator calibrate_;
   std::mutex mutex_;  // guards slots_ (not the calibration itself)

@@ -62,12 +62,10 @@ Record& Record::add(const std::string& key, const std::string& value) {
   return *this;
 }
 
-Record& Record::add_field(Field field) {
-  fields_.push_back(std::move(field));
-  return *this;
-}
+namespace {
 
-std::string Record::render_value(const Value& value) {
+/// Renders one value as a JSON literal.
+std::string render_value(const Record::Value& value) {
   switch (value.index()) {
     case 0: {
       const double d = std::get<double>(value);
@@ -86,6 +84,8 @@ std::string Record::render_value(const Value& value) {
       return "\"" + json_escape(std::get<std::string>(value)) + "\"";
   }
 }
+
+}  // namespace
 
 std::string Record::to_json() const {
   std::string out = "{";
@@ -153,18 +153,6 @@ void JsonFileSink::write_buffer_locked() {
     buffer_.clear();
   }
   buffered_records_ = 0;
-}
-
-void MultiSink::add(std::shared_ptr<ResultSink> sink) {
-  sinks_.push_back(std::move(sink));
-}
-
-void MultiSink::record(const Record& r) {
-  for (auto& s : sinks_) s->record(r);
-}
-
-void MultiSink::flush() {
-  for (auto& s : sinks_) s->flush();
 }
 
 }  // namespace manet::exp

@@ -56,14 +56,10 @@ class Record {
   Record& add(const std::string& key, const char* value) {
     return add(key, std::string(value));
   }
-  Record& add_field(Field field);
 
   /// Renders {"key": value, ...} preserving insertion order. Non-finite
   /// doubles render as null (JSON has no NaN/Inf).
   std::string to_json() const;
-
-  /// Renders one value as a JSON literal (shared with the merge tool).
-  static std::string render_value(const Value& value);
 
   const std::vector<Field>& fields() const { return fields_; }
   bool empty() const { return fields_.empty(); }
@@ -101,9 +97,7 @@ class MemorySink final : public ResultSink {
 /// Writes are buffered: rendered records accumulate in memory and reach
 /// the stream when the buffer passes ~64 KiB, when `flush_records` records
 /// have been buffered since the last write (0 disables the count trigger),
-/// or on an explicit flush(). flush() also fflushes the stream, so a
-/// checkpointing driver that flushes at every durability point composes
-/// with the buffering instead of fighting it.
+/// or on an explicit flush(). flush() also fflushes the stream.
 class JsonFileSink final : public ResultSink {
  public:
   /// Opens (truncates) `path`; throws std::runtime_error on failure.
@@ -125,17 +119,6 @@ class JsonFileSink final : public ResultSink {
   std::size_t flush_records_ = 0;
   std::size_t buffered_records_ = 0;
   bool first_ = true;
-};
-
-/// Fans every record out to several sinks (e.g. memory + JSON file).
-class MultiSink final : public ResultSink {
- public:
-  void add(std::shared_ptr<ResultSink> sink);
-  void record(const Record& r) override;
-  void flush() override;
-
- private:
-  std::vector<std::shared_ptr<ResultSink>> sinks_;
 };
 
 }  // namespace manet::exp

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "util/logging.hpp"
 
 namespace manet::mac {
 

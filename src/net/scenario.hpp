@@ -79,8 +79,7 @@ struct ScenarioConfig {
   }
 
   /// Upper bounds accepted by validate(): node counts must fit the
-  /// channel's 32-bit attach indices (and the pair-cache key packing) with
-  /// headroom, and coordinates must stay far inside 32-bit grid-cell
+  /// channel's 32-bit attach indices with headroom, and coordinates must stay far inside 32-bit grid-cell
   /// indexing at the ~551 m cell size.
   static constexpr std::size_t kMaxNodes = std::size_t{1} << 22;
   static constexpr double kMaxAreaM = 1e9;

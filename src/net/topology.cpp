@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 namespace manet::net {
@@ -122,29 +121,6 @@ bool is_connected(const std::vector<geom::Vec2>& nodes, double range) {
       seen[v] = true;
       ++reached;
       frontier.push_back(v);
-    }
-  }
-  return reached == nodes.size();
-}
-
-bool is_connected_reference(const std::vector<geom::Vec2>& nodes, double range) {
-  if (nodes.empty()) return true;
-  std::vector<bool> seen(nodes.size(), false);
-  std::queue<std::size_t> frontier;
-  frontier.push(0);
-  seen[0] = true;
-  std::size_t reached = 1;
-  const double r2 = range * range;
-  while (!frontier.empty()) {
-    const std::size_t u = frontier.front();
-    frontier.pop();
-    for (std::size_t v = 0; v < nodes.size(); ++v) {
-      if (seen[v]) continue;
-      if ((nodes[u] - nodes[v]).norm2() <= r2) {
-        seen[v] = true;
-        ++reached;
-        frontier.push(v);
-      }
     }
   }
   return reached == nodes.size();

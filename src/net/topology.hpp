@@ -57,11 +57,8 @@ std::vector<geom::Vec2> random_topology(std::size_t n, double width, double heig
                                         util::Xoshiro256ss& rng);
 
 /// True if the unit-disk graph with the given link range is connected.
-/// Bucket-grid BFS: O(N * neighborhood) instead of the reference's O(N^2).
+/// Bucket-grid BFS: O(N * neighborhood) instead of an O(N^2) scan.
 bool is_connected(const std::vector<geom::Vec2>& nodes, double range);
-
-/// The original O(N^2) BFS, kept as the equality oracle for is_connected.
-bool is_connected_reference(const std::vector<geom::Vec2>& nodes, double range);
 
 /// Resamples random layouts until the topology is connected at `range`
 /// (throws after `max_tries`). The paper sizes its random scenarios (112

@@ -9,14 +9,12 @@
 
 #include "phy/impairments.hpp"
 #include "phy/radio.hpp"
-#include "util/rng.hpp"
 
 namespace manet::phy {
 
 namespace {
 // Up to this many radios the grid's 3x3 cell probe costs more than simply
-// walking every attach index; the prefilter and the pair cache apply
-// either way.
+// walking every attach index; the prefilter applies either way.
 constexpr std::size_t kDirectScanRadios = 16;
 
 // Pad added to the carrier-sense range when sizing incremental cells and
@@ -26,25 +24,6 @@ constexpr std::size_t kDirectScanRadios = 16;
 // the padded radius" always implies "strictly beyond cs_range", where the
 // monotone path-loss model guarantees inaudibility.
 constexpr double kCellPadM = 1.0;
-
-// Pair-cache sizing: a power of two near 256 slots per radio — roughly 2x
-// the live parked (tx, cs-candidate) pair population at the scale
-// scenarios' density, which a direct-mapped cache needs to keep its hit
-// rate high — floored so small topologies stay collision-free and capped
-// so 10k nodes retain ~6 KB of pair cache per node (2^21 slots x 32 B =
-// 64 MB total).
-constexpr std::size_t kPairSlotsPerRadio = 256;
-constexpr std::size_t kPairSlotsMin = 1u << 12;
-constexpr std::size_t kPairSlotsMax = 1u << 21;
-
-std::size_t pair_cache_capacity(std::size_t radios) {
-  std::size_t want = radios * kPairSlotsPerRadio;
-  want = std::max(want, kPairSlotsMin);
-  want = std::min(want, kPairSlotsMax);
-  std::size_t cap = 1;
-  while (cap < want) cap <<= 1;
-  return cap;
-}
 }  // namespace
 
 Channel::IndexMode Channel::parse_index_mode(std::string_view name) {
@@ -188,7 +167,6 @@ void Channel::ensure_incremental(SimTime now) {
   grid_.clear();
   migrate_heap_.clear();
   cells_.assign(radios_.size(), RadioMotion{});
-  pair_cache_.assign(pair_cache_capacity(radios_.size()), PairEntry{});
   static_layout_.reset();
   audible_lists_.clear();
   for (std::uint32_t i = 0; i < radios_.size(); ++i) {
@@ -249,41 +227,6 @@ void Channel::collect_candidates(const geom::Vec2& tx_pos,
   }
 }
 
-double Channel::pair_power(std::uint32_t tx_idx, std::uint32_t rx_idx,
-                           const geom::Vec2& tx_pos, SimTime at) {
-  const std::uint32_t lo = std::min(tx_idx, rx_idx);
-  const std::uint32_t hi = std::max(tx_idx, rx_idx);
-  const RadioMotion& lm = cells_[lo];
-  const RadioMotion& hm = cells_[hi];
-  const bool parked = lm.epoch != kMovingEpoch && hm.epoch != kMovingEpoch &&
-                      lm.velocity.x == 0.0 && lm.velocity.y == 0.0 &&
-                      hm.velocity.x == 0.0 && hm.velocity.y == 0.0;
-  if (!parked) {
-    // A moving endpoint: collect_audible()'s predicted-position prefilter
-    // already rejected the far pairs, so nearly every pair reaching here
-    // needs its exact power anyway — a cache probe would be pure overhead.
-    // Exact power from exact positions, like the reference scan.
-    ++cache_stats_.link_budget_misses;
-    return prop_.rx_power_dbm(tx_pos,
-                              positions_.position(radios_[rx_idx]->id(), at));
-  }
-  // Both endpoints parked: their positions are constant for the lifetime of
-  // the (epoch, epoch) pair, so the cached power is exactly what a fresh
-  // computation would produce — the identical doubles feed the identical
-  // path-loss expression.
-  const std::uint64_t key = (static_cast<std::uint64_t>(lo) << 32) | hi;
-  PairEntry& e = pair_cache_[util::mix64(key) & (pair_cache_.size() - 1)];
-  if (e.key == key && e.lo_epoch == lm.epoch && e.hi_epoch == hm.epoch) {
-    ++cache_stats_.link_budget_hits;
-    return e.power_dbm;
-  }
-  ++cache_stats_.link_budget_misses;
-  const double power = prop_.rx_power_dbm(
-      tx_pos, positions_.position(radios_[rx_idx]->id(), at));
-  e = PairEntry{key, lm.epoch, hm.epoch, power};
-  return power;
-}
-
 void Channel::collect_audible(std::uint32_t tx_idx, const geom::Vec2& tx_pos,
                               SimTime at, std::vector<AudibleLink>& out) {
   collect_candidates(tx_pos, candidates_scratch_);
@@ -297,8 +240,8 @@ void Channel::collect_audible(std::uint32_t tx_idx, const geom::Vec2& tx_pos,
     // Predicted-position prefilter: drain_migrations() guarantees every
     // radio's recorded motion segment covers `at`, so ref + v*dt is the
     // candidate's position up to FP rounding. Beyond the slacked limit the
-    // pair is provably inaudible without touching the radio, the pair
-    // cache, or the position provider.
+    // pair is provably inaudible without touching the radio or the
+    // position provider.
     const RadioMotion& rm = cells_[rx_idx];
     const double dt = now_s - rm.ref_t_s;
     const double px = rm.ref_pos.x + rm.velocity.x * dt - tx_pos.x;
@@ -307,7 +250,10 @@ void Channel::collect_audible(std::uint32_t tx_idx, const geom::Vec2& tx_pos,
       ++cache_stats_.prefilter_rejects;
       continue;
     }
-    const double power = pair_power(tx_idx, rx_idx, tx_pos, at);
+    // Exact power from exact positions, like the reference scan.
+    ++cache_stats_.link_budget_misses;
+    const double power = prop_.rx_power_dbm(
+        tx_pos, positions_.position(radios_[rx_idx]->id(), at));
     if (power < cs_threshold) continue;  // inaudible
     out.push_back(AudibleLink{rx_idx, power});
   }
@@ -353,7 +299,6 @@ bool Channel::radios_within(NodeId center, double range_m, SimTime at,
 std::size_t Channel::index_memory_bytes() const {
   std::size_t bytes = cells_.capacity() * sizeof(RadioMotion) +
                       migrate_heap_.capacity() * sizeof(migrate_heap_[0]) +
-                      pair_cache_.capacity() * sizeof(PairEntry) +
                       audible_lists_.capacity() * sizeof(AudibleList);
   for (const auto& [key, cell] : grid_) {
     bytes += sizeof(key) + cell.capacity() * sizeof(std::uint32_t);

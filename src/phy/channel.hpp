@@ -21,9 +21,8 @@
 //    *predicted position*: each radio's motion segment is pinned
 //    (position, time) at its last rebucket, so ref + v*dt places it exactly
 //    (up to FP rounding, absorbed by 1 m of slack) without a provider
-//    query — a far mover costs two fused multiply-adds. Pairs with both
-//    endpoints parked go through a bounded direct-mapped cache keyed by the
-//    endpoints' motion-segment epochs holding the exact link budget.
+//    query — a far mover costs two fused multiply-adds. The remaining pairs
+//    get their exact power from the position provider.
 //    Once no radio carries a migration deadline and every radio is parked
 //    (a static layout: nothing can move again), each transmitter keeps
 //    its audible list — (receiver, exact power) in attach order, built by
@@ -104,8 +103,8 @@ class Channel {
                      std::vector<NodeId>& out);
 
   struct CacheStats {
-    // Exact cached power reused: a parked pair's cache hit, or a delivery
-    // served from a static layout's audible list.
+    // Exact cached power reused: a delivery served from a static layout's
+    // audible list.
     std::uint64_t link_budget_hits = 0;
     std::uint64_t link_budget_misses = 0;  // power computed from positions
     std::uint64_t full_scans = 0;  // transmissions served by the slow path
@@ -120,9 +119,8 @@ class Channel {
   };
   const CacheStats& cache_stats() const { return cache_stats_; }
 
-  /// Retained bytes of the incremental index, the pair cache and the
-  /// audible lists (bounded by construction; the memory-ceiling test reads
-  /// this).
+  /// Retained bytes of the incremental index and the audible lists
+  /// (bounded by construction; the memory-ceiling test reads this).
   std::size_t index_memory_bytes() const;
 
  private:
@@ -141,17 +139,6 @@ class Channel {
     geom::Vec2 ref_pos{0.0, 0.0};
     double ref_t_s = 0.0;
     SimTime due = kTimeNever;
-  };
-
-  /// One direct-mapped pair-cache slot: the exact link budget of a pair
-  /// whose endpoints are both parked, valid while both motion-segment
-  /// epochs match. Moving pairs never enter the cache — the predicted-
-  /// position prefilter handles them.
-  struct PairEntry {
-    std::uint64_t key = ~std::uint64_t{0};  // (lo_idx << 32) | hi_idx
-    std::uint64_t lo_epoch = kMovingEpoch;
-    std::uint64_t hi_epoch = kMovingEpoch;
-    double power_dbm = 0.0;
   };
 
   /// One audible receiver of a transmission: attach index and the exact
@@ -203,11 +190,6 @@ class Channel {
   /// attach order. Runs no radio callbacks.
   void collect_audible(std::uint32_t tx_idx, const geom::Vec2& tx_pos,
                        SimTime at, std::vector<AudibleLink>& out);
-  /// The exact received power of a pair, through the pair cache when both
-  /// endpoints are parked (the caller still applies the carrier-sense
-  /// threshold, as the full scan does).
-  double pair_power(std::uint32_t tx_idx, std::uint32_t rx_idx,
-                    const geom::Vec2& tx_pos, SimTime at);
 
   sim::Simulator& sim_;
   Propagation& prop_;
@@ -228,7 +210,6 @@ class Channel {
   // motion can invalidate their bucket carry an entry; each radio has at
   // most one live entry (rebucket pops before pushing).
   std::vector<std::pair<SimTime, std::uint32_t>> migrate_heap_;
-  std::vector<PairEntry> pair_cache_;  // power-of-two, direct-mapped
 
   // Static layouts: static_layout_ is nullopt until static_layout() has
   // classified the layout; audible_lists_ holds one list per transmitter

@@ -95,15 +95,6 @@ SimDuration CsTimeline::cumulative_busy(SimTime at) const {
   return cum_busy_ + (current_busy_ ? at - last_edge_ : 0);
 }
 
-bool CsTimeline::busy_at(SimTime t) const {
-  // Last transition at or before t determines the state.
-  auto it = std::upper_bound(
-      transitions_.begin(), transitions_.end(), t,
-      [](SimTime v, const Transition& tr) { return v < tr.at; });
-  if (it == transitions_.begin()) return initial_busy_;
-  return std::prev(it)->busy;
-}
-
 SimDuration CsTimeline::busy_time(SimTime from, SimTime to) const {
   assert(from <= to);
   if (from == to) return 0;
@@ -181,86 +172,6 @@ SimDuration CsTimeline::countable_idle_time(SimTime from, SimTime to,
 double CsTimeline::busy_fraction(SimTime from, SimTime to) const {
   if (to <= from) return 0.0;
   return static_cast<double>(busy_time(from, to)) / static_cast<double>(to - from);
-}
-
-// --- Reference oracle (pre-optimization implementations, kept verbatim) -----
-
-SimDuration CsTimeline::busy_time_reference(SimTime from, SimTime to) const {
-  assert(from <= to);
-  if (from == to) return 0;
-
-  SimDuration busy = 0;
-  SimTime cursor = from;
-  bool state = busy_at(from);
-
-  auto it = std::upper_bound(
-      transitions_.begin(), transitions_.end(), from,
-      [](SimTime v, const Transition& tr) { return v < tr.at; });
-  for (; it != transitions_.end() && it->at < to; ++it) {
-    if (state) busy += it->at - cursor;
-    cursor = it->at;
-    state = it->busy;
-  }
-  if (state) busy += to - cursor;
-  return busy;
-}
-
-SlotCounts CsTimeline::count_slots_reference(SimTime from, SimTime to,
-                                             SimDuration slot) const {
-  assert(slot > 0);
-  SlotCounts counts;
-  bool prev_slot_idle = false;
-  for (SimTime t = from; t + slot <= to; t += slot) {
-    const bool slot_busy = busy_time_reference(t, t + slot) > 0;
-    if (slot_busy) {
-      ++counts.busy;
-      prev_slot_idle = false;
-    } else {
-      ++counts.idle;
-      if (!prev_slot_idle) ++counts.idle_periods;
-      prev_slot_idle = true;
-    }
-  }
-  return counts;
-}
-
-SimDuration CsTimeline::countable_idle_time_reference(SimTime from, SimTime to,
-                                                      SimDuration difs) const {
-  assert(from <= to);
-  SimDuration countable = 0;
-  SimTime cursor = from;
-  bool state = busy_at(from);
-
-  auto close_idle_period = [&](SimTime end_at) {
-    const SimDuration len = end_at - cursor;
-    if (!state && len > difs) countable += len - difs;
-  };
-
-  auto it = std::upper_bound(
-      transitions_.begin(), transitions_.end(), from,
-      [](SimTime v, const Transition& tr) { return v < tr.at; });
-  for (; it != transitions_.end() && it->at < to; ++it) {
-    close_idle_period(it->at);
-    cursor = it->at;
-    state = it->busy;
-  }
-  close_idle_period(to);
-  return countable;
-}
-
-SimDuration CsTimeline::outage_time_reference(SimTime from, SimTime to) const {
-  assert(from <= to);
-  SimDuration total = 0;
-  for (const OutageSpan& o : outages_) {
-    const SimTime lo = std::max(from, o.start);
-    const SimTime hi = std::min(to, o.stop);
-    if (hi > lo) total += hi - lo;
-  }
-  if (in_outage_) {
-    const SimTime lo = std::max(from, outage_start_);
-    if (to > lo) total += to - lo;
-  }
-  return total;
 }
 
 CsTimelineSnapshot CsTimeline::snapshot() const {

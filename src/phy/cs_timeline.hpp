@@ -129,17 +129,6 @@ class CsTimeline : public RadioListener {
   /// converting observed idle time into candidate back-off slots.
   SimDuration countable_idle_time(SimTime from, SimTime to, SimDuration difs) const;
 
-  // --- Reference oracle ------------------------------------------------------
-  // Naive implementations retained verbatim from before the single-sweep
-  // optimization. Property tests assert the optimized queries agree with
-  // them on arbitrary transition histories; they are NOT meant for
-  // production use (count_slots_reference is O(W log T) per window).
-  SlotCounts count_slots_reference(SimTime from, SimTime to, SimDuration slot) const;
-  SimDuration busy_time_reference(SimTime from, SimTime to) const;
-  SimDuration countable_idle_time_reference(SimTime from, SimTime to,
-                                            SimDuration difs) const;
-  SimDuration outage_time_reference(SimTime from, SimTime to) const;
-
   std::size_t recorded_transitions() const { return transitions_.size(); }
 
   const BudgetStats& budget_stats() const { return budget_stats_; }
@@ -159,8 +148,6 @@ class CsTimeline : public RadioListener {
 
  private:
   void prune(SimTime now);
-  /// Channel state at absolute time t (assumes t >= earliest retained).
-  bool busy_at(SimTime t) const;
 
   /// One merged walk over the retained transitions: invokes
   /// `segment(seg_start, seg_end, busy)` for every maximal constant-state

@@ -38,9 +38,6 @@ class Config {
   long long get_int(const std::string& key) const;
   bool get_bool(const std::string& key) const;
 
-  /// All declared keys in declaration order.
-  const std::vector<std::string>& keys() const { return order_; }
-
   const std::string& description(const std::string& key) const;
 
   /// Formats "key = value  # description" lines for every declared key.

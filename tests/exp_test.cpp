@@ -1,12 +1,15 @@
 // Tests for the experiment engine layer (src/exp/): thread pool, the
-// deterministic Engine::map contract, seeding, result sinks, the shared
-// rate cache, and the benches' strict numeric-list parsing.
+// deterministic Engine::map contract, seeding, result sinks (JSON and the
+// binary columnar codec), the shared rate cache, and the benches' strict
+// numeric-list parsing.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -14,21 +17,32 @@
 #include <vector>
 
 #include "../bench/bench_common.hpp"
+#include "exp/columnar.hpp"
 #include "exp/engine.hpp"
 #include "exp/rate_cache.hpp"
 #include "exp/seeding.hpp"
 #include "exp/sink.hpp"
 #include "exp/sweep.hpp"
 #include "exp/thread_pool.hpp"
+#include "util/crc32.hpp"
 
 namespace manet::exp {
 namespace {
 
 std::string slurp(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+void spit(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string temp_path(const std::string& name) {
+  return testing::TempDir() + "exp_test_" + name;
 }
 
 TEST(ThreadPool, RunsEverySubmittedJob) {
@@ -173,6 +187,279 @@ TEST(JsonFileSink, UnwritablePathThrows) {
   EXPECT_THROW(JsonFileSink("/nonexistent-dir/out.json"), std::runtime_error);
 }
 
+Record cell_record(std::uint64_t cell) {
+  Record r;
+  r.add("bench", "exp_test")
+      .add("cell", cell)
+      .add("value", 0.25 * static_cast<double>(cell) + 0.1)
+      .add("offset", static_cast<std::int64_t>(17 - 5 * (cell % 8)))
+      .add("even", cell % 2 == 0);
+  return r;
+}
+
+TEST(JsonFileSink, FlushRecordsTriggerMakesRecordsDurableEarly) {
+  const std::string eager_path = temp_path("eager.json");
+  const std::string lazy_path = temp_path("lazy.json");
+  {
+    JsonFileSink eager(eager_path, /*flush_records=*/2);
+    JsonFileSink lazy(lazy_path);  // size-based flushing only
+    for (std::uint64_t i = 0; i < 5; ++i) {
+      eager.record(cell_record(i));
+      lazy.record(cell_record(i));
+    }
+    // The count trigger has pushed the eager sink's records to disk while
+    // the lazy sink still holds everything in its 64 KiB buffer.
+    EXPECT_GT(slurp(eager_path).size(), 100u);
+    EXPECT_EQ(slurp(lazy_path).size(), 0u);
+  }
+  // Same bytes once both sinks close: buffering must not change the text.
+  EXPECT_EQ(slurp(eager_path), slurp(lazy_path));
+  std::remove(eager_path.c_str());
+  std::remove(lazy_path.c_str());
+}
+
+// ------------------------------------------------------------- columnar
+
+// A second shape so schema registration and block switching are exercised.
+Record detail_record(std::uint64_t cell) {
+  Record r;
+  r.add("bench", "exp_test")
+      .add("cell", cell)
+      .add("note", cell % 2 == 0 ? "even-cell" : "odd-cell");
+  return r;
+}
+
+void emit_cells(ColumnarFileSink& sink, std::uint64_t first,
+                std::uint64_t last) {
+  for (std::uint64_t cell = first; cell < last; ++cell) {
+    sink.begin_cell(cell);
+    sink.record(cell_record(cell));
+    if (cell % 3 == 0) sink.record(detail_record(cell));
+  }
+}
+
+ColumnarMeta test_meta(std::uint64_t cells) {
+  ColumnarMeta meta;
+  meta.sweep = "sweep1|exp_test|x=1";
+  meta.bench = "exp_test";
+  meta.total_cells = cells;
+  meta.cell_begin = 0;
+  meta.cell_end = cells;
+  return meta;
+}
+
+TEST(Columnar, RoundTripsRecordsExactly) {
+  const std::string path = temp_path("roundtrip.mcol");
+  const std::uint64_t cells = 2 * ColumnarFileSink::kBlockRecords + 37;
+  {
+    ColumnarFileSink sink(path, test_meta(cells));
+    emit_cells(sink, 0, cells);
+  }
+  const ColumnarFile file = read_columnar_file(path);
+  EXPECT_EQ(file.meta.sweep, "sweep1|exp_test|x=1");
+  EXPECT_EQ(file.meta.bench, "exp_test");
+  EXPECT_EQ(file.meta.total_cells, cells);
+  EXPECT_EQ(file.meta.cell_begin, 0u);
+  EXPECT_EQ(file.meta.cell_end, cells);
+
+  std::size_t i = 0;
+  for (std::uint64_t cell = 0; cell < cells; ++cell) {
+    ASSERT_LT(i, file.records.size());
+    EXPECT_EQ(file.records[i].first, cell);
+    EXPECT_EQ(file.records[i].second.to_json(), cell_record(cell).to_json());
+    ++i;
+    if (cell % 3 == 0) {
+      ASSERT_LT(i, file.records.size());
+      EXPECT_EQ(file.records[i].first, cell);
+      EXPECT_EQ(file.records[i].second.to_json(),
+                detail_record(cell).to_json());
+      ++i;
+    }
+  }
+  EXPECT_EQ(i, file.records.size());
+  std::remove(path.c_str());
+}
+
+TEST(Columnar, PreservesNonFiniteDoublesUnlikeJson) {
+  const std::string path = temp_path("nonfinite.mcol");
+  Record r;
+  r.add("nan", std::nan("")).add("inf", 1.0 / 0.0);
+  {
+    ColumnarFileSink sink(path, test_meta(1));
+    sink.begin_cell(0);
+    sink.record(r);
+  }
+  const ColumnarFile file = read_columnar_file(path);
+  ASSERT_EQ(file.records.size(), 1u);
+  // JSON renders non-finite as null; the binary codec must still agree.
+  EXPECT_EQ(file.records[0].second.to_json(), r.to_json());
+  std::remove(path.c_str());
+}
+
+// Encoders for hand-built .mcol files, mirroring exp/columnar.hpp.
+void put_u32(std::string& out, std::uint32_t v) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    out.push_back(static_cast<char>(v >> shift));
+  }
+}
+
+void put_varu(std::string& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+}
+
+void put_str(std::string& out, const std::string& s) {
+  put_varu(out, s.size());
+  out += s;
+}
+
+/// One framed block whose CRC matches its payload.
+std::string block(std::uint8_t kind, const std::string& payload) {
+  std::string out(1, static_cast<char>(kind));
+  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  put_u32(out, util::crc32(reinterpret_cast<const std::uint8_t*>(payload.data()),
+                           payload.size()));
+  return out + payload;
+}
+
+/// Magic plus a header block declaring cells [0, 1), with `total_cells`
+/// spelled as given.
+std::string header_file(const std::string& total_cells = "1") {
+  std::string payload;
+  put_u32(payload, 1);  // version
+  put_u32(payload, 3);  // meta entries
+  put_str(payload, "total_cells");
+  put_str(payload, total_cells);
+  put_str(payload, "cell_begin");
+  put_str(payload, "0");
+  put_str(payload, "cell_end");
+  put_str(payload, "1");
+  return "MCOL" + block(0, payload);
+}
+
+/// A schema block registering schema 0 with one field of `type`.
+std::string one_field_schema(std::uint8_t type) {
+  std::string payload;
+  put_u32(payload, 0);  // schema id
+  put_u32(payload, 1);  // field count
+  put_str(payload, "f");
+  payload.push_back(static_cast<char>(type));
+  return block(1, payload);
+}
+
+/// The end offset of every whole block in a well-formed file.
+std::set<std::size_t> block_boundaries(const std::string& bytes) {
+  std::set<std::size_t> out;
+  std::size_t pos = 4;  // magic
+  while (pos + 9 <= bytes.size()) {
+    std::uint32_t len = 0;
+    for (int i = 3; i >= 0; --i) {
+      len = (len << 8) | static_cast<std::uint8_t>(bytes[pos + 1 + i]);
+    }
+    pos += 9 + len;
+    out.insert(pos);
+  }
+  return out;
+}
+
+TEST(Columnar, RejectsCorruptTruncatedAndForeignFiles) {
+  const std::string path = temp_path("corrupt.mcol");
+  {
+    ColumnarFileSink sink(path, test_meta(40));
+    emit_cells(sink, 0, 40);
+  }
+  const std::string good = slurp(path);
+  ASSERT_GT(good.size(), 64u);
+  const ColumnarFile full = read_columnar_file(path);
+
+  // Flip one payload byte: the block CRC must catch it.
+  std::string corrupt = good;
+  corrupt[good.size() - 10] ^= 0x40;
+  spit(path, corrupt);
+  EXPECT_THROW(read_columnar_file(path), std::runtime_error);
+
+  // Chop the tail mid-block: truncation must be detected, not ignored.
+  spit(path, good.substr(0, good.size() - 5));
+  EXPECT_THROW(read_columnar_file(path), std::runtime_error);
+
+  // Every truncation either throws or, when it ends on a block boundary,
+  // yields a prefix of the records.
+  const std::set<std::size_t> boundaries = block_boundaries(good);
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    SCOPED_TRACE("truncated to " + std::to_string(len) + " bytes");
+    spit(path, good.substr(0, len));
+    try {
+      const ColumnarFile part = read_columnar_file(path);
+      EXPECT_EQ(boundaries.count(len), 1u);
+      ASSERT_LE(part.records.size(), full.records.size());
+      for (std::size_t i = 0; i < part.records.size(); ++i) {
+        EXPECT_EQ(part.records[i].first, full.records[i].first);
+        EXPECT_EQ(part.records[i].second.to_json(),
+                  full.records[i].second.to_json());
+      }
+    } catch (const std::runtime_error&) {
+    }
+  }
+
+  // Not a columnar file at all.
+  spit(path, "[\n{\"bench\": \"exp_test\"}\n]\n");
+  EXPECT_THROW(read_columnar_file(path), std::runtime_error);
+
+  EXPECT_THROW(read_columnar_file(path + ".does-not-exist"),
+               std::runtime_error);
+
+  // Crafted files with valid CRCs and lengths that lie. Each must be
+  // rejected before the reader allocates anything sized by the lie.
+  spit(path, header_file());
+  EXPECT_NO_THROW(read_columnar_file(path));
+
+  // A block length far beyond the bytes that follow it.
+  {
+    std::string bytes = header_file();
+    bytes.push_back(2);
+    put_u32(bytes, 0xFFFFFFF0u);
+    put_u32(bytes, 0);
+    bytes += "tail";
+    spit(path, bytes);
+    EXPECT_THROW(read_columnar_file(path), std::runtime_error);
+  }
+  // A data block claiming 2^32 - 1 records in a few bytes.
+  {
+    std::string payload;
+    put_u32(payload, 0);            // schema id
+    put_u32(payload, 0xFFFFFFFFu);  // record count
+    put_varu(payload, 0);           // one cell
+    payload += std::string(8, '\0');  // one double
+    spit(path, header_file() + one_field_schema(0) + block(2, payload));
+    EXPECT_THROW(read_columnar_file(path), std::runtime_error);
+  }
+  // A string column whose dictionary size is 2^62.
+  {
+    std::string payload;
+    put_u32(payload, 0);  // schema id
+    put_u32(payload, 1);  // record count
+    put_varu(payload, 0);  // cell
+    put_varu(payload, std::uint64_t{1} << 62);
+    put_str(payload, "only-entry");
+    put_varu(payload, 0);  // ref
+    spit(path, header_file() + one_field_schema(4) + block(2, payload));
+    EXPECT_THROW(read_columnar_file(path), std::runtime_error);
+  }
+  // Header integers that are not decimal u64s.
+  for (const char* bad : {"", "abc", "12x", "-1", "99999999999999999999999"}) {
+    SCOPED_TRACE(std::string("total_cells='") + bad + "'");
+    spit(path, header_file(bad));
+    EXPECT_THROW(read_columnar_file(path), std::runtime_error);
+  }
+
+  spit(path, good);
+  EXPECT_NO_THROW(read_columnar_file(path));
+  std::remove(path.c_str());
+}
+
 TEST(RateCache, CalibratesEachLoadExactlyOnceUnderConcurrency) {
   std::atomic<int> probes{0};
   net::ScenarioConfig scenario;
@@ -233,6 +520,18 @@ TEST(RateCache, FileCacheSharesCalibrationsAcrossInstances) {
   EXPECT_DOUBLE_EQ(third.rate_for(0.6), 5.4);
   EXPECT_EQ(other_probes.load(), 1);
   std::remove(path.c_str());
+}
+
+TEST(RateCache, AtomicFileUpdateMergesSequentialWriters) {
+  const std::string path = temp_path("merged.cache");
+  std::remove(path.c_str());
+  EXPECT_TRUE(atomic_file_update(
+      path, [](const std::string& cur) { return cur + "line-1\n"; }));
+  EXPECT_TRUE(atomic_file_update(
+      path, [](const std::string& cur) { return cur + "line-2\n"; }));
+  EXPECT_EQ(slurp(path), "line-1\nline-2\n");
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
 }
 
 TEST(ParseDoubleList, ParsesWellFormedLists) {

@@ -1,61 +1,15 @@
-// Tests for the auxiliary instrumentation: the Bianchi-Tinnirello
-// competitor estimator, end-to-end flow statistics, and the frame tracer.
+// Tests for the auxiliary instrumentation: end-to-end flow statistics and
+// the frame tracer.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "detect/bianchi.hpp"
 #include "net/flow_stats.hpp"
 #include "net/network.hpp"
 #include "net/tracer.hpp"
 
 namespace manet {
 namespace {
-
-TEST(CompetingTerminals, StartsAtOneWithoutData) {
-  detect::CompetingTerminalEstimator est;
-  EXPECT_EQ(est.competitors(), 1u);
-  EXPECT_DOUBLE_EQ(est.collision_probability(), 0.0);
-}
-
-TEST(CompetingTerminals, CleanChannelEstimatesFewCompetitors) {
-  // Two-station link: no collisions at the observer, so the collision
-  // probability stays ~0 and the estimate stays small.
-  net::ScenarioConfig cfg;
-  cfg.grid_rows = 1;
-  cfg.grid_cols = 2;
-  cfg.num_flows = 0;
-  net::Network net(cfg);
-  detect::CompetingTerminalEstimator est;
-  net.radio(1).add_listener(&est);
-
-  net.add_flow(0, 1, 200);
-  net.start_traffic(0, seconds_to_time(10));
-  net.run_until(seconds_to_time(10));
-
-  EXPECT_GT(est.successes(), 500u);
-  EXPECT_LT(est.collision_probability(), 0.05);
-  EXPECT_LE(est.competitors(), 2u);
-}
-
-TEST(CompetingTerminals, ContendedGridEstimatesMoreCompetitors) {
-  net::ScenarioConfig cfg;  // full Table-1 grid
-  cfg.num_flows = 30;
-  cfg.packets_per_second = 14;  // ~load 0.6
-  cfg.seed = 5;
-  net::Network net(cfg);
-  detect::CompetingTerminalEstimator est;
-  est = detect::CompetingTerminalEstimator();  // default-constructible too
-  net.radio(net.center_node()).add_listener(&est);
-
-  net.build_random_flows();
-  net.start_traffic(0, seconds_to_time(30));
-  net.run_until(seconds_to_time(30));
-
-  EXPECT_GT(est.failures(), 20u);
-  EXPECT_GT(est.collision_probability(), 0.02);
-  EXPECT_GE(est.competitors(), 2u);
-}
 
 TEST(FlowStats, TracksDeliveryRatioAndDelayOneHop) {
   net::ScenarioConfig cfg;

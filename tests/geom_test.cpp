@@ -5,8 +5,8 @@
 
 #include "geom/circle.hpp"
 #include "geom/region_model.hpp"
-#include "geom/sampling.hpp"
 #include "geom/vec2.hpp"
+#include "util/rng.hpp"
 
 namespace manet::geom {
 namespace {
@@ -51,9 +51,14 @@ TEST(LensArea, MatchesMonteCarlo) {
   util::Xoshiro256ss rng(1);
   const Circle a{{0, 0}, 550};
   const Circle b{{240, 0}, 550};
-  const double mc = monte_carlo_area(
-      rng, -550, -550, 790, 550, 400000,
-      [&](Vec2 p) { return a.contains(p) && b.contains(p); });
+  // Uniform points in the bounding rectangle [-550, 790) x [-550, 550).
+  const int samples = 400000;
+  int hits = 0;
+  for (int i = 0; i < samples; ++i) {
+    const Vec2 p{rng.uniform(-550.0, 790.0), rng.uniform(-550.0, 550.0)};
+    if (a.contains(p) && b.contains(p)) ++hits;
+  }
+  const double mc = 1340.0 * 1100.0 * hits / samples;
   const double exact = lens_area(550, 240);
   EXPECT_NEAR(mc / exact, 1.0, 0.02);
 }
@@ -119,31 +124,6 @@ TEST(RegionModel, WiderSeparationGrowsExclusiveRegions) {
   EXPECT_GT(wide.areas().a2, narrow.areas().a2);
   EXPECT_GT(wide.areas().a5, narrow.areas().a5);
   EXPECT_LT(wide.areas().a3, narrow.areas().a3);
-}
-
-TEST(Sampling, CirclePointsLieInsideAndFillIt) {
-  util::Xoshiro256ss rng(5);
-  const Circle c{{10, -3}, 7};
-  int in_inner_half_area = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    const Vec2 p = sample_circle(rng, c);
-    ASSERT_TRUE(c.contains(p));
-    // Inner disk of radius r/sqrt(2) holds half the area.
-    if ((p - c.center).norm2() <= c.radius * c.radius / 2) ++in_inner_half_area;
-  }
-  EXPECT_NEAR(in_inner_half_area / static_cast<double>(n), 0.5, 0.01);
-}
-
-TEST(Sampling, RectPointsAreInBounds) {
-  util::Xoshiro256ss rng(6);
-  for (int i = 0; i < 1000; ++i) {
-    const Vec2 p = sample_rect(rng, -1, 2, 4, 9);
-    EXPECT_GE(p.x, -1);
-    EXPECT_LT(p.x, 4);
-    EXPECT_GE(p.y, 2);
-    EXPECT_LT(p.y, 9);
-  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // space with TEST_P / INSTANTIATE_TEST_SUITE_P.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -12,8 +13,8 @@
 #include "net/mobility.hpp"
 #include "phy/channel.hpp"
 #include "phy/cs_timeline.hpp"
+#include "reference_cs_timeline.hpp"
 #include "sim/simulator.hpp"
-#include "util/histogram.hpp"
 #include "util/rng.hpp"
 
 namespace manet {
@@ -92,15 +93,22 @@ TEST_P(PrsAttempt, DictatedValuesAreUniformOverTheAttemptWindow) {
   const std::uint32_t cw = params.cw_for_attempt(attempt);
   mac::VerifiableBackoff prs(0xFACE + attempt, params);
 
-  util::Histogram hist(0, cw + 1, 16);
+  // 16 equal-width bins over [0, cw + 1).
+  constexpr std::size_t kBins = 16;
+  std::vector<double> counts(kBins, 0.0);
   const std::uint64_t draws = 8000;
   for (std::uint64_t i = 0; i < draws; ++i) {
     const auto v = prs.dictated_slots(i, attempt);
     ASSERT_LE(v, cw);
-    hist.add(v);
+    const auto bin = static_cast<std::size_t>(
+        static_cast<double>(v) / (cw + 1.0) * static_cast<double>(kBins));
+    ++counts[std::min(bin, kBins - 1)];
   }
-  // Chi-square, 15 dof, 99.9th percentile ~ 37.7.
-  EXPECT_LT(hist.chi_square_uniform(), 37.7) << "attempt " << attempt;
+  // Chi-square against uniform, 15 dof: 99.9th percentile ~ 37.7.
+  const double expected = static_cast<double>(draws) / kBins;
+  double chi2 = 0.0;
+  for (double c : counts) chi2 += (c - expected) * (c - expected) / expected;
+  EXPECT_LT(chi2, 37.7) << "attempt " << attempt;
 }
 
 INSTANTIATE_TEST_SUITE_P(Attempts, PrsAttempt,
@@ -188,8 +196,9 @@ INSTANTIATE_TEST_SUITE_P(PmValues, PmSweep,
 // --- CsTimeline: single-sweep queries agree with the reference oracle --------
 //
 // The optimized busy_time / countable_idle_time / count_slots / outage_time
-// share one merged cursor walk; the *_reference methods are the verbatim
-// pre-optimization implementations. Random transition histories — redundant
+// share one merged cursor walk; the *_reference functions
+// (tests/reference_cs_timeline.hpp) are the verbatim pre-optimization
+// implementations. Random transition histories — redundant
 // edges, outage overlap, short retention so windows straddle the pruning
 // horizon — must produce identical answers from both.
 
@@ -219,14 +228,15 @@ TEST_P(CsTimelineOracle, SweepQueriesMatchReference) {
       SimTime from = t > 3 * kSecond ? t - 3 * kSecond : 0;
       from += static_cast<SimTime>(rng.uniform_int(3 * kSecond));
       const SimTime to = from + static_cast<SimTime>(rng.uniform_int(60 * kMillisecond));
-      EXPECT_EQ(tl.busy_time(from, to), tl.busy_time_reference(from, to));
-      EXPECT_EQ(tl.outage_time(from, to), tl.outage_time_reference(from, to));
+      const phy::CsTimelineSnapshot snap = tl.snapshot();
+      EXPECT_EQ(tl.busy_time(from, to), phy::busy_time_reference(snap, from, to));
+      EXPECT_EQ(tl.outage_time(from, to), phy::outage_time_reference(snap, from, to));
       const SimDuration difs = 10 + static_cast<SimDuration>(rng.uniform_int(100));
       EXPECT_EQ(tl.countable_idle_time(from, to, difs),
-                tl.countable_idle_time_reference(from, to, difs));
+                phy::countable_idle_time_reference(snap, from, to, difs));
       const SimDuration slot = 20 * (1 + static_cast<SimDuration>(rng.uniform_int(1000)));
       const phy::SlotCounts a = tl.count_slots(from, to, slot);
-      const phy::SlotCounts b = tl.count_slots_reference(from, to, slot);
+      const phy::SlotCounts b = phy::count_slots_reference(snap, from, to, slot);
       EXPECT_EQ(a.busy, b.busy) << "from=" << from << " to=" << to << " slot=" << slot;
       EXPECT_EQ(a.idle, b.idle);
       EXPECT_EQ(a.idle_periods, b.idle_periods);

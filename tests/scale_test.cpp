@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -21,6 +22,31 @@
 using namespace manet;
 
 namespace {
+
+/// The original O(N^2) BFS, kept as the equality oracle for
+/// net::is_connected.
+bool is_connected_reference(const std::vector<geom::Vec2>& nodes, double range) {
+  if (nodes.empty()) return true;
+  std::vector<bool> seen(nodes.size(), false);
+  std::queue<std::size_t> frontier;
+  frontier.push(0);
+  seen[0] = true;
+  std::size_t reached = 1;
+  const double r2 = range * range;
+  while (!frontier.empty()) {
+    const std::size_t u = frontier.front();
+    frontier.pop();
+    for (std::size_t v = 0; v < nodes.size(); ++v) {
+      if (seen[v]) continue;
+      if ((nodes[u] - nodes[v]).norm2() <= r2) {
+        seen[v] = true;
+        ++reached;
+        frontier.push(v);
+      }
+    }
+  }
+  return reached == nodes.size();
+}
 
 // --- CsTimeline hard budgets -------------------------------------------------
 
@@ -152,7 +178,7 @@ TEST(LayoutIndex, ConnectivityMatchesReferenceAcrossRanges) {
     // Sweep from surely-disconnected to surely-connected.
     for (const double range : {50.0, 150.0, 250.0, 400.0, 800.0}) {
       EXPECT_EQ(net::is_connected(nodes, range),
-                net::is_connected_reference(nodes, range))
+                is_connected_reference(nodes, range))
           << "seed=" << seed << " range=" << range;
     }
   }
@@ -248,7 +274,7 @@ TEST(ScaleMemory, PerNodeRetentionStaysUnderBudget) {
   }
   EXPECT_TRUE(some_node_pruned);  // the run actually generated history
 
-  // Channel index + pair cache: bounded per node, O(N) overall.
+  // Channel index: bounded per node, O(N) overall.
   EXPECT_LE(net.channel().index_memory_bytes(), net.size() * std::size_t{32768});
 }
 
