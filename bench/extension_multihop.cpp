@@ -77,6 +77,9 @@ int main(int argc, char** argv) {
   mc.fixed_n = mc.fixed_k = mc.fixed_m = mc.fixed_j = 5.0;
   mc.fixed_contenders = 20.0;
 
+  // One standalone factory per monitoring node: a node's timeline carries
+  // one hub, shared by every suspect that node watches.
+  std::unordered_map<NodeId, detect::MonitorFactory> factories;
   for (std::size_t i = 0; i < tagged.size(); ++i) {
     const NodeId s = tagged[i];
     const auto nbrs = net.neighbors(s, net.config().prop.tx_range_m, 0);
@@ -87,10 +90,14 @@ int main(int argc, char** argv) {
       net.mac(s).set_backoff_policy(std::make_unique<mac::PercentMisbehavior>(pm));
     }
     net.add_flow(s, r, 25.0);  // keep the suspect contending
-    watches.push_back(
-        Watch{s, r, is_attacker,
-              detect::MonitorFactory(net.simulator(), net.mac(r), net.timeline(r))
-                  .watch(s, mc)});
+    auto factory = factories.find(r);
+    if (factory == factories.end()) {
+      factory = factories
+                    .emplace(r, detect::MonitorFactory(net.simulator(), net.mac(r),
+                                                       net.timeline(r)))
+                    .first;
+    }
+    watches.push_back(Watch{s, r, is_attacker, factory->second.watch(s, mc)});
   }
 
   net.build_random_flows(/*exclude=*/tagged);

@@ -4,14 +4,24 @@
 
 namespace manet::detect {
 
+/// Member order is the destruction contract: the batch (detaching its
+/// groups) before the hub.
+struct StandaloneNode {
+  ObservationHub hub;
+  MonitorBatch batch;
+
+  StandaloneNode(sim::Simulator& simulator, mac::DcfMac& monitor_mac,
+                 phy::CsTimeline& timeline)
+      : hub(simulator, monitor_mac, timeline), batch(hub) {}
+};
+
 Monitor::Monitor(MonitorBatch& batch, NodeId tagged, const MonitorConfig& config)
     : batch_(batch), lane_(batch.add_lane(tagged, config)), tagged_(tagged) {}
 
-Monitor::Monitor(std::unique_ptr<ObservationHub> hub, NodeId tagged,
+Monitor::Monitor(std::shared_ptr<StandaloneNode> node, NodeId tagged,
                  const MonitorConfig& config)
-    : owned_hub_(std::move(hub)),
-      owned_batch_(std::make_unique<MonitorBatch>(*owned_hub_)),
-      batch_(*owned_batch_),
+    : node_(std::move(node)),
+      batch_(node_->batch),
       lane_(batch_.add_lane(tagged, config)),
       tagged_(tagged) {}
 
@@ -63,15 +73,19 @@ double Monitor::flag_rate() const {
 }
 
 double Monitor::traffic_intensity() const {
-  return batch_.lane_tracker(lane_).filter().intensity();
+  return batch_.lane_tracker(lane_).intensity();
 }
 
 const ObservationHub& Monitor::hub() const { return batch_.hub(); }
 
+MonitorFactory::MonitorFactory(sim::Simulator& simulator, mac::DcfMac& monitor_mac,
+                               phy::CsTimeline& timeline)
+    : node_(std::make_shared<StandaloneNode>(simulator, monitor_mac, timeline)),
+      batch_(&node_->batch) {}
+
 std::unique_ptr<Monitor> MonitorFactory::watch(NodeId tagged) const {
-  if (batch_) return std::make_unique<Monitor>(*batch_, tagged, config_);
-  auto hub = std::make_unique<ObservationHub>(*sim_, *mac_, *timeline_);
-  return std::unique_ptr<Monitor>(new Monitor(std::move(hub), tagged, config_));
+  if (node_) return std::unique_ptr<Monitor>(new Monitor(node_, tagged, config_));
+  return std::make_unique<Monitor>(*batch_, tagged, config_);
 }
 
 }  // namespace manet::detect

@@ -32,8 +32,8 @@
 // decoded-frame ring, density estimator, and ARMA tracker; see
 // observation_hub.hpp for the sharing rules), and keeps per-monitor test
 // state in SoA lanes. A Monitor only names its (batch, lane) pair and
-// reads the lane back; MonitorFactory's standalone mode gives a monitor a
-// private hub and a one-lane batch of its own.
+// reads the lane back; MonitorFactory's standalone mode gives the monitors
+// it stamps out a hub and a batch of their own.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +53,7 @@
 namespace manet::detect {
 
 class MonitorBatch;  // detect/monitor_batch.hpp
+struct StandaloneNode;  // a standalone MonitorFactory's hub + batch
 
 struct MonitorConfig {
   std::size_t sample_size = 10;    // Wilcoxon window (paper: 10/25/50/100)
@@ -284,14 +285,12 @@ class Monitor {
  private:
   friend class MonitorFactory;
 
-  /// Standalone layout: owns `hub` and a one-lane batch over it.
-  Monitor(std::unique_ptr<ObservationHub> hub, NodeId tagged,
+  /// Standalone layout: a lane of `node`'s batch, keeping the node alive.
+  Monitor(std::shared_ptr<StandaloneNode> node, NodeId tagged,
           const MonitorConfig& config);
 
-  // Declared first so the batch (whose groups detach from the hub) is
-  // destroyed before the hub. Both are null unless standalone.
-  std::unique_ptr<ObservationHub> owned_hub_;
-  std::unique_ptr<MonitorBatch> owned_batch_;
+  // Declared first so it outlives the lane. Null unless standalone.
+  std::shared_ptr<StandaloneNode> node_;
   MonitorBatch& batch_;
   std::size_t lane_;
   NodeId tagged_;
@@ -302,17 +301,20 @@ class Monitor {
 ///
 ///   * Batched mode: every watch() registers a lane in the given
 ///     MonitorBatch (one batch per monitoring node, live or replay).
-///   * Standalone mode: every watch() gets a private ObservationHub over
-///     the node's MAC/timeline and a one-lane MonitorBatch of its own.
+///   * Standalone mode: the factory creates an ObservationHub over the
+///     node's MAC/timeline and a MonitorBatch over it; every watch() is a
+///     lane of that batch, and the monitors keep both alive. A timeline
+///     carries at most one hub, so one factory (or copies of it) serves
+///     all standalone monitors of a node.
 class MonitorFactory {
  public:
   /// Batched mode: monitors are lanes of `batch`.
   explicit MonitorFactory(MonitorBatch& batch) : batch_(&batch) {}
 
-  /// Standalone mode: a private hub and batch per monitor on this node.
+  /// Standalone mode: a hub and batch of the factory's own on this node.
+  /// Throws std::logic_error when `timeline` already has a hub.
   MonitorFactory(sim::Simulator& simulator, mac::DcfMac& monitor_mac,
-                 phy::CsTimeline& timeline)
-      : sim_(&simulator), mac_(&monitor_mac), timeline_(&timeline) {}
+                 phy::CsTimeline& timeline);
 
   /// Config applied by subsequent watch() calls (chainable).
   MonitorFactory& with_config(const MonitorConfig& config) {
@@ -331,10 +333,8 @@ class MonitorFactory {
   }
 
  private:
+  std::shared_ptr<StandaloneNode> node_;  // null in batched mode
   MonitorBatch* batch_ = nullptr;
-  sim::Simulator* sim_ = nullptr;
-  mac::DcfMac* mac_ = nullptr;
-  phy::CsTimeline* timeline_ = nullptr;
   MonitorConfig config_;
 };
 

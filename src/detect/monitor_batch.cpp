@@ -80,7 +80,7 @@ void MonitorBatch::Group::reset_exchange() {
 
 SystemStateParams MonitorBatch::Group::current_state() const {
   SystemStateParams p;
-  p.rho = arma_->filter().intensity();
+  p.rho = arma_->intensity();
   p.mapping = config_.mapping;
 
   const double dens = density_->density(batch_.hub_.simulator().now());
@@ -372,6 +372,9 @@ void MonitorBatch::Group::handle_tagged_rts(const mac::Frame& rts,
 std::size_t MonitorBatch::add_lane(NodeId tagged, const MonitorConfig& config) {
   if (config.sample_size == 0) {
     throw std::invalid_argument("monitor sample_size must be at least 1");
+  }
+  if (config.arma_batch_slots == 0) {
+    throw std::invalid_argument("monitor arma_batch_slots must be at least 1");
   }
   Group& group = group_for(tagged, config);
   const std::size_t lane = lane_stats_.size();

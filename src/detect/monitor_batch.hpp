@@ -69,7 +69,8 @@ class MonitorBatch {
   /// shared field matches (and the group was created at the same sim
   /// time); otherwise a new group attaches to the hub. Lanes start active.
   /// Throws std::invalid_argument when config.sample_size is 0 (a window
-  /// that can never fill, and a zero-width sample slice).
+  /// that can never fill, and a zero-width sample slice) or
+  /// config.arma_batch_slots is 0 (an ARMA batch of no time).
   std::size_t add_lane(NodeId tagged, const MonitorConfig& config);
 
   /// Suspend/resume one lane (Monitor::set_active semantics: reactivation

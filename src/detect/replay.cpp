@@ -7,8 +7,8 @@ ReplaySession::ReplaySession(const TraceHeader& header,
     : header_(header) {
   // World reconstruction order matters: the timeline must hold the
   // pre-attach carrier history and the clock must sit at the recording
-  // start BEFORE the hub exists, so component attach times (and the ARMA
-  // tick chain's origin) match the live run that recorded the trace.
+  // start BEFORE the hub exists, so component attach times (and with them
+  // the ARMA batch grid) match the live run that recorded the trace.
   timeline_.restore(header_.timeline);
   sim_.run_until(header_.start_time);
   hub_ = std::make_unique<ObservationHub>(sim_, header_.node, header_.params,
@@ -28,8 +28,8 @@ void ReplaySession::run(ObservationSource& source) {
     if (ev.marker_code == static_cast<std::uint32_t>(MarkerCode::kActivity)) {
       for (auto& view : views_) view->set_active(ev.marker_value != 0);
     }
-    // kTraceEnd needs no action: consume() already advanced the clock to
-    // the marker's time, firing any ARMA ticks due before the end of run.
+    // kTraceEnd needs no action: consume() already moved the clock to the
+    // marker's time, so readers fold every ARMA batch that ended by then.
   });
 }
 

@@ -8,6 +8,7 @@ namespace manet::phy {
 void CsTimeline::on_carrier(bool busy, SimTime at) {
   assert(transitions_.empty() || at >= transitions_.back().at);
   if (busy == current_busy_) return;
+  if (edge_observer_ != nullptr) edge_observer_->before_edge(at);
   if (current_busy_) cum_busy_ += at - last_edge_;
   last_edge_ = at;
   transitions_.push_back(Transition{at, busy});
@@ -59,6 +60,7 @@ void CsTimeline::prune(SimTime now) {
 
 void CsTimeline::on_outage(bool deaf, SimTime at) {
   if (deaf == in_outage_) return;
+  if (edge_observer_ != nullptr) edge_observer_->before_edge(at);
   if (deaf) {
     outage_start_ = at;
   } else if (at > outage_start_) {

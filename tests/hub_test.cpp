@@ -251,8 +251,10 @@ TEST(Hub, DetachReleasesViews) {
 
 TEST(Hub, FactoryStandaloneMatchesLegacyLayout) {
   HubFixture f;
-  // A private hub whose one view is the monitor's one-lane batch group.
-  const auto m = MonitorFactory(f.sim, f.mac, f.timeline).watch(0, small_monitor());
+  // A private hub whose one view is the monitor's one-lane batch group. It
+  // needs a timeline of its own: f.timeline already carries f.hub.
+  phy::CsTimeline own_timeline;
+  const auto m = MonitorFactory(f.sim, f.mac, own_timeline).watch(0, small_monitor());
   EXPECT_EQ(m->hub().view_count(), 1u);
   EXPECT_NE(&m->hub(), &f.hub);
   EXPECT_EQ(m->self(), 1u);  // the fixture's MAC is node 1
@@ -337,8 +339,12 @@ TEST(MonitorBatch, ZeroSampleSizeIsRejected) {
   MonitorConfig cusum = small_monitor(0);
   cusum.detector = DetectorKind::kCusum;
   EXPECT_THROW(batch.add_lane(0, cusum), std::invalid_argument);
+  MonitorConfig no_batch = small_monitor(10);  // an ARMA batch of no time
+  no_batch.arma_batch_slots = 0;
+  EXPECT_THROW(batch.add_lane(0, no_batch), std::invalid_argument);
   EXPECT_EQ(batch.lane_count(), 0u);
-  EXPECT_THROW(MonitorFactory(f.sim, f.mac, f.timeline).watch(0, small_monitor(0)),
+  phy::CsTimeline own_timeline;
+  EXPECT_THROW(MonitorFactory(f.sim, f.mac, own_timeline).watch(0, small_monitor(0)),
                std::invalid_argument);
 }
 

@@ -49,7 +49,7 @@ void ReferenceMonitor::set_active(bool active) {
 
 SystemStateParams ReferenceMonitor::current_state() const {
   SystemStateParams p;
-  p.rho = arma_->filter().intensity();
+  p.rho = arma_->intensity();
   p.mapping = config_.mapping;
 
   const double dens = density_->density(sim_.now());
