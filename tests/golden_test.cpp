@@ -191,7 +191,7 @@ TEST(Golden, MobileHandoff) {
   cfg.scenario.pause_s = 0.0;
   cfg.mobile_handoff = true;
   EXPECT_EQ(golden_digest(cfg),
-            "62eeee782f7f607ebdcfa9cef6460ac0");
+            "f4225b6462e49da18dc81edd259600ba");
 }
 
 TEST(Golden, LossyWithOutage) {
