@@ -158,9 +158,18 @@ TEST(TraceFormat, RejectsTruncationAndCorruption) {
     EXPECT_THROW(MemoryTraceReader{truncated}, TraceError) << "cut=" << cut;
   }
 
-  // A flipped payload byte fails its block CRC.
+  // A flipped payload byte fails its block CRC (the last 12 bytes are the
+  // end block).
   std::vector<std::uint8_t> corrupt = bytes;
-  corrupt[bytes.size() - 3] ^= 0x40;
+  corrupt[bytes.size() - 12 - 3] ^= 0x40;
+  EXPECT_THROW(MemoryTraceReader{corrupt}, TraceError);
+
+  // So does a flipped end-block CRC, and bytes after the end block.
+  corrupt = bytes;
+  corrupt[bytes.size() - 1] ^= 0x01;
+  EXPECT_THROW(MemoryTraceReader{corrupt}, TraceError);
+  corrupt = bytes;
+  corrupt.push_back(0);
   EXPECT_THROW(MemoryTraceReader{corrupt}, TraceError);
 
   // Corrupting the header payload fails the header CRC.
@@ -175,6 +184,60 @@ TEST(TraceFormat, RejectsTruncationAndCorruption) {
 
   EXPECT_THROW(FileTraceReader{"/nonexistent/path.mtrace"}, TraceError);
   EXPECT_NO_THROW(MemoryTraceReader{bytes});
+}
+
+void put_u32_le(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+std::uint32_t get_u32_le(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= std::uint32_t{bytes[at + i]} << (8 * i);
+  return v;
+}
+
+TEST(TraceFormat, RejectsEveryCutOfAMultiBlockTrace) {
+  TraceWriter writer(sample_header());
+  for (const auto& ev : sample_events(TraceWriter::kBlockEvents * 2 + 37)) {
+    writer.record(ev);
+  }
+  const std::vector<std::uint8_t> bytes = writer.serialize();
+
+  // Block boundaries from the framing: the header block, three event
+  // blocks, then the 12-byte end block.
+  std::vector<std::size_t> boundaries;
+  std::size_t at = 12 + get_u32_le(bytes, 4);
+  boundaries.push_back(at);
+  while (get_u32_le(bytes, at) != 0) {
+    at += 12 + get_u32_le(bytes, at);
+    boundaries.push_back(at);
+  }
+  ASSERT_EQ(boundaries.size(), 4u);
+  ASSERT_EQ(at + 12, bytes.size());
+  for (const std::size_t cut : boundaries) {
+    const std::vector<std::uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
+    EXPECT_THROW(MemoryTraceReader{truncated}, TraceError) << "boundary cut=" << cut;
+  }
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::vector<std::uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
+    EXPECT_THROW(MemoryTraceReader{truncated}, TraceError) << "cut=" << cut;
+  }
+  EXPECT_EQ(MemoryTraceReader{bytes}.event_count(), TraceWriter::kBlockEvents * 2 + 37);
+}
+
+TEST(TraceFormat, RejectsAForgedEventCount) {
+  // A CRC-valid block claiming 2^32 - 1 events in 100 bytes must be
+  // refused before it sizes anything.
+  TraceWriter writer(sample_header());
+  std::vector<std::uint8_t> bytes = writer.serialize();
+  bytes.resize(bytes.size() - 12);  // drop the end block
+  const std::vector<std::uint8_t> payload(100, 0);
+  put_u32_le(bytes, static_cast<std::uint32_t>(payload.size()));
+  put_u32_le(bytes, 0xFFFFFFFFu);
+  put_u32_le(bytes, trace_crc32(payload.data(), payload.size()));
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  for (int i = 0; i < 3; ++i) put_u32_le(bytes, 0);  // end block
+  EXPECT_THROW(MemoryTraceReader{bytes}, TraceError);
 }
 
 // --- Live vs replay fidelity -------------------------------------------------
