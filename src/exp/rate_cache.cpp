@@ -76,10 +76,15 @@ void default_setup(net::Network& net) {
 
 /// Folds every scenario field that changes the load <-> rate mapping into
 /// a single token (calibration probes depend on topology, traffic shape,
-/// mobility, MAC timing and the seed of the probe run).
+/// mobility, MAC timing, propagation, impairments, the probe timeline's
+/// retention budget and the seed of the probe run).
 std::string scenario_fingerprint(const net::ScenarioConfig& s) {
   std::ostringstream out;
-  out << "v1"
+  out.precision(17);
+  const mac::DcfParams& m = s.mac;
+  const phy::PropagationParams& p = s.prop;
+  const phy::FaultPlan& f = s.faults;
+  out << "v2"
       << "|topo=" << static_cast<int>(s.topology) << ":" << s.grid_rows << "x"
       << s.grid_cols << ":" << s.grid_spacing_m << ":" << s.random_nodes << ":"
       << s.area_width_m << "x" << s.area_height_m
@@ -90,11 +95,24 @@ std::string scenario_fingerprint(const net::ScenarioConfig& s) {
       << "|rt=" << static_cast<int>(s.routing) << ":"
       << static_cast<int>(s.flow_pattern)
       << "|seed=" << s.seed
-      << "|mac=" << s.mac.slot_time << ":" << s.mac.cw_min << ":" << s.mac.cw_max
-      << ":" << s.mac.queue_capacity << ":" << s.mac.data_rate_bps
-      << "|phy=" << s.prop.tx_range_m << ":" << s.prop.cs_range_m << ":"
-      << s.prop.shadowing_sigma_db
-      << "|flt=" << s.faults.loss_probability << ":" << s.faults.corrupt_probability;
+      << "|mac=" << m.slot_time << ":" << m.sifs << ":" << m.difs << ":"
+      << m.cw_min << ":" << m.cw_max << ":" << m.retry_limit << ":"
+      << m.basic_rate_bps << ":" << m.data_rate_bps << ":" << m.plcp_overhead
+      << ":" << m.rts_bytes << ":" << m.cts_bytes << ":" << m.ack_bytes << ":"
+      << m.data_header_bytes << ":" << m.queue_capacity << ":" << m.use_eifs
+      << ":" << m.seq_off_modulo
+      << "|phy=" << p.tx_power_dbm << ":" << p.path_loss_exponent << ":"
+      << p.shadowing_sigma_db << ":" << p.reference_distance_m << ":"
+      << p.reference_loss_db << ":" << p.tx_range_m << ":" << p.cs_range_m
+      << ":" << p.capture_threshold_db
+      << "|flt=" << f.loss_probability << ":" << f.corrupt_probability << ":"
+      << f.gilbert_elliott << ":" << f.ge_p_good_to_bad << ":"
+      << f.ge_p_bad_to_good << ":" << f.ge_loss_good << ":" << f.ge_loss_bad
+      << ":" << f.seed << ":";
+  for (const phy::FaultPlan::Outage& o : f.outages) {
+    out << o.node << "@" << o.start << "-" << o.stop << ",";
+  }
+  out << "|tl=" << s.timeline_retention_s << ":" << s.timeline_max_transitions;
   return out.str();
 }
 

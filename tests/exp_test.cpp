@@ -522,6 +522,74 @@ TEST(RateCache, FileCacheSharesCalibrationsAcrossInstances) {
   std::remove(path.c_str());
 }
 
+TEST(RateCache, FileCacheKeySeparatesEveryCalibrationInput) {
+  // Each of these fields changes busy(rate), so a scenario differing only
+  // in it must miss the other scenario's entry in a shared file, and hit
+  // its own.
+  const std::string path = temp_path("key_fields.cache");
+  using Mutation = void (*)(net::ScenarioConfig&);
+  const std::vector<std::pair<std::string, Mutation>> fields = {
+      {"mac.sifs", [](net::ScenarioConfig& s) { s.mac.sifs += 1; }},
+      {"mac.difs", [](net::ScenarioConfig& s) { s.mac.difs += 1; }},
+      {"mac.retry_limit", [](net::ScenarioConfig& s) { s.mac.retry_limit += 1; }},
+      {"mac.basic_rate_bps", [](net::ScenarioConfig& s) { s.mac.basic_rate_bps *= 2; }},
+      {"mac.plcp_overhead", [](net::ScenarioConfig& s) { s.mac.plcp_overhead += 1; }},
+      {"mac.rts_bytes", [](net::ScenarioConfig& s) { s.mac.rts_bytes += 1; }},
+      {"mac.cts_bytes", [](net::ScenarioConfig& s) { s.mac.cts_bytes += 1; }},
+      {"mac.ack_bytes", [](net::ScenarioConfig& s) { s.mac.ack_bytes += 1; }},
+      {"mac.data_header_bytes",
+       [](net::ScenarioConfig& s) { s.mac.data_header_bytes += 1; }},
+      {"mac.use_eifs", [](net::ScenarioConfig& s) { s.mac.use_eifs = !s.mac.use_eifs; }},
+      {"prop.tx_power_dbm", [](net::ScenarioConfig& s) { s.prop.tx_power_dbm += 0.5; }},
+      {"prop.path_loss_exponent",
+       [](net::ScenarioConfig& s) { s.prop.path_loss_exponent += 0.5; }},
+      {"prop.reference_distance_m",
+       [](net::ScenarioConfig& s) { s.prop.reference_distance_m += 0.5; }},
+      {"prop.reference_loss_db",
+       [](net::ScenarioConfig& s) { s.prop.reference_loss_db += 0.5; }},
+      {"prop.capture_threshold_db",
+       [](net::ScenarioConfig& s) { s.prop.capture_threshold_db += 0.5; }},
+      {"faults.gilbert_elliott",
+       [](net::ScenarioConfig& s) { s.faults.gilbert_elliott = true; }},
+      {"faults.ge_p_good_to_bad",
+       [](net::ScenarioConfig& s) { s.faults.ge_p_good_to_bad += 0.01; }},
+      {"faults.ge_p_bad_to_good",
+       [](net::ScenarioConfig& s) { s.faults.ge_p_bad_to_good += 0.01; }},
+      {"faults.ge_loss_good", [](net::ScenarioConfig& s) { s.faults.ge_loss_good += 0.01; }},
+      {"faults.ge_loss_bad", [](net::ScenarioConfig& s) { s.faults.ge_loss_bad -= 0.01; }},
+      {"faults.outages",
+       [](net::ScenarioConfig& s) {
+         s.faults.outages.push_back({3, 1 * kSecond, 2 * kSecond});
+       }},
+      {"faults.seed", [](net::ScenarioConfig& s) { s.faults.seed += 1; }},
+      {"timeline_retention_s", [](net::ScenarioConfig& s) { s.timeline_retention_s /= 2; }},
+      {"timeline_max_transitions",
+       [](net::ScenarioConfig& s) { s.timeline_max_transitions /= 2; }},
+  };
+  const net::ScenarioConfig base;
+  for (const auto& [name, mutate] : fields) {
+    std::remove(path.c_str());
+    net::ScenarioConfig other = base;
+    mutate(other);
+    int probes = 0;
+    auto calibrator = [&probes](double per_load) {
+      return [&probes, per_load](const net::ScenarioConfig&, double load) {
+        ++probes;
+        net::CalibrationResult r;
+        r.packets_per_second = per_load * load;
+        return r;
+      };
+    };
+    EXPECT_DOUBLE_EQ(RateCache(other, path, calibrator(2.0)).rate_for(0.5), 1.0) << name;
+    EXPECT_DOUBLE_EQ(RateCache(base, path, calibrator(3.0)).rate_for(0.5), 1.5) << name;
+    EXPECT_EQ(probes, 2) << name << ": base hit the other scenario's entry";
+    EXPECT_DOUBLE_EQ(RateCache(other, path, calibrator(5.0)).rate_for(0.5), 1.0) << name;
+    EXPECT_DOUBLE_EQ(RateCache(base, path, calibrator(5.0)).rate_for(0.5), 1.5) << name;
+    EXPECT_EQ(probes, 2) << name << ": an entry missed its own scenario";
+  }
+  std::remove(path.c_str());
+}
+
 TEST(RateCache, AtomicFileUpdateMergesSequentialWriters) {
   const std::string path = temp_path("merged.cache");
   std::remove(path.c_str());
