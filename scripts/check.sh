@@ -81,12 +81,13 @@ if [[ -f build-asan/CMakeCache.txt ]] && \
 fi
 cmake -B build-asan -S . -DMANET_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$jobs"
-oracle_tests='Golden|HubEquivalence|AllPipelines'
+oracle_tests='Golden|HubEquivalence|AllPipelines|IntensityFold'
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -E "$oracle_tests"
 
 echo "== result oracles (ASan + UBSan) =="
-# The golden digests and the batch-vs-reference equivalence over replayed
-# traces, as their own stage: the digests must match the plain build's.
+# The golden digests, the batch-vs-reference equivalence over replayed
+# traces, and the ARMA fold against the tick-chain oracle, as their own
+# stage: the digests must match the plain build's.
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -R "$oracle_tests"
 
 echo "== multi-threaded sweep smoke (ASan + UBSan) =="
