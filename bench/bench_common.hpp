@@ -18,4 +18,11 @@ inline void print_header(const char* figure, const char* claim) {
   std::printf("# %s\n# Paper claim: %s\n", figure, claim);
 }
 
+/// The load a sweep point actually ran at, for its table heading:
+/// "achieved 0.822 at 64.00 pkt/s per flow, saturated".
+inline void print_achieved_load(const net::CalibrationResult& cal) {
+  std::printf("achieved %.3f at %.2f pkt/s per flow%s", cal.measured_busy_fraction,
+              cal.packets_per_second, cal.saturated ? ", saturated" : "");
+}
+
 }  // namespace manet::bench

@@ -83,8 +83,8 @@ int main(int argc, char** argv) {
 
   // Calibrate every load up-front, across the workers (shared across
   // processes through $MANET_RATE_CACHE).
-  const std::vector<double> load_rates =
-      engine.map(loads.size(), [&](std::size_t i) { return rates.rate_for(loads[i]); });
+  const std::vector<net::CalibrationResult> load_cal = engine.map(
+      loads.size(), [&](std::size_t i) { return rates.calibration_for(loads[i]); });
 
   const auto build_point = [&](std::uint64_t cell) {
     detect::MultiDetectionConfig cfg;
@@ -92,13 +92,13 @@ int main(int argc, char** argv) {
     bool gap_bound = false;
     if (cell < grid_cells) {
       const std::size_t li = static_cast<std::size_t>(cell / pms.size());
-      cfg.rate_pps = load_rates[li];
+      cfg.rate_pps = load_cal[li].packets_per_second;
       cfg.pm = pms[cell % pms.size()];
     } else {
       const std::uint64_t e = cell - grid_cells;
       const std::size_t li = static_cast<std::size_t>(e / attacker_specs.size());
       const auto& spec = attacker_specs[e % attacker_specs.size()];
-      cfg.rate_pps = load_rates[li];
+      cfg.rate_pps = load_cal[li].packets_per_second;
       cfg.attacker = spec;
       // Monitors watching the flood enable the anchorless RTS-gap bound —
       // that row would otherwise never produce a window to score; timing
@@ -129,8 +129,9 @@ int main(int argc, char** argv) {
       const double pm = pms[cell % pms.size()];
       if (li != grid_header_load) {
         grid_header_load = li;
-        std::printf("\n## Load = %.1f  (columns: all-paths rate / statistical-only rate (windows))\n",
-                    loads[li]);
+        std::printf("\n## Load = %.1f (", loads[li]);
+        bench::print_achieved_load(load_cal[li]);
+        std::printf(")  (columns: all-paths rate / statistical-only rate (windows))\n");
         std::printf("  %-5s", "PM");
         for (double ss : sample_sizes) std::printf("  ss=%-17.0f", ss);
         std::printf("  intensity\n");
@@ -150,7 +151,9 @@ int main(int argc, char** argv) {
             .add("load", loads[li])
             .add("pm", pm)
             .add("sample_size", sample_sizes[si])
-            .add("rate_pps", load_rates[li])
+            .add("rate_pps", load_cal[li].packets_per_second)
+            .add("achieved_busy", load_cal[li].measured_busy_fraction)
+            .add("saturated", load_cal[li].saturated)
             .add("runs", runs)
             .add("sim_time_s", flags.get_double("sim_time"))
             .add("windows", r.windows)
@@ -169,8 +172,9 @@ int main(int argc, char** argv) {
       const std::string& name = attacker_names[e % attacker_specs.size()];
       if (li != extra_header_load) {
         extra_header_load = li;
-        std::printf("\n## Load = %.1f, adversary zoo v2 (gap bound on for rts_flood)\n",
-                    loads[li]);
+        std::printf("\n## Load = %.1f (", loads[li]);
+        bench::print_achieved_load(load_cal[li]);
+        std::printf("), adversary zoo v2 (gap bound on for rts_flood)\n");
         std::printf("  %-10s", "attacker");
         for (double ss : sample_sizes) std::printf("  ss=%-17.0f", ss);
         std::printf("\n");
@@ -191,7 +195,9 @@ int main(int argc, char** argv) {
             .add("attacker", name)
             .add("load", loads[li])
             .add("sample_size", sample_sizes[si])
-            .add("rate_pps", load_rates[li])
+            .add("rate_pps", load_cal[li].packets_per_second)
+            .add("achieved_busy", load_cal[li].measured_busy_fraction)
+            .add("saturated", load_cal[li].saturated)
             .add("runs", runs)
             .add("sim_time_s", flags.get_double("sim_time"))
             .add("windows", r.windows)

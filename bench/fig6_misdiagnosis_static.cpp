@@ -97,8 +97,8 @@ int main(int argc, char** argv) {
   const std::uint64_t total_cells =
       honest_cells + static_cast<std::uint64_t>(loads.size()) * attacker_specs.size();
 
-  const std::vector<double> load_rates =
-      engine.map(loads.size(), [&](std::size_t i) { return rates.rate_for(loads[i]); });
+  const std::vector<net::CalibrationResult> load_cal = engine.map(
+      loads.size(), [&](std::size_t i) { return rates.calibration_for(loads[i]); });
 
   const auto build_point = [&](std::uint64_t cell) {
     detect::MultiDetectionConfig cfg;
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
       li = static_cast<std::size_t>(e / attacker_specs.size());
       cfg.attacker = attacker_specs[e % attacker_specs.size()];
     }
-    cfg.rate_pps = load_rates[li];
+    cfg.rate_pps = load_cal[li].packets_per_second;
     for (double ss : sample_sizes) {
       detect::MonitorConfig m;
       m.sample_size = static_cast<std::size_t>(ss);
@@ -135,15 +135,17 @@ int main(int argc, char** argv) {
       const auto li = static_cast<std::size_t>(cell);
       if (!honest_header) {
         honest_header = true;
-        std::printf("  %-6s %-6s %-9s %-9s %-12s %-10s\n", "load", "ss",
-                    "windows", "flagged", "P(misdiag)", "95%% upper");
+        std::printf("  %-6s %-9s %-4s %-6s %-9s %-9s %-12s %-10s\n", "load", "achieved",
+                    "sat", "ss", "windows", "flagged", "P(misdiag)", "95% upper");
       }
       for (std::size_t i = 0; i < sample_sizes.size(); ++i) {
         const auto& r = result.per_config[i];
         util::ProportionEstimator p;
         for (std::uint64_t w = 0; w < r.windows; ++w) p.add(w < r.flagged);
-        std::printf("  %-6.1f %-6.0f %-9llu %-9llu %-12.4f %-10.4f\n", loads[li],
-                    sample_sizes[i], static_cast<unsigned long long>(r.windows),
+        std::printf("  %-6.1f %-9.3f %-4s %-6.0f %-9llu %-9llu %-12.4f %-10.4f\n",
+                    loads[li], load_cal[li].measured_busy_fraction,
+                    load_cal[li].saturated ? "yes" : "no", sample_sizes[i],
+                    static_cast<unsigned long long>(r.windows),
                     static_cast<unsigned long long>(r.flagged), r.detection_rate,
                     p.wilson_upper());
         std::fflush(stdout);
@@ -152,7 +154,9 @@ int main(int argc, char** argv) {
         rec.add("bench", "fig6_misdiagnosis_static")
             .add("load", loads[li])
             .add("sample_size", sample_sizes[i])
-            .add("rate_pps", load_rates[li])
+            .add("rate_pps", load_cal[li].packets_per_second)
+            .add("achieved_busy", load_cal[li].measured_busy_fraction)
+            .add("saturated", load_cal[li].saturated)
             .add("runs", runs)
             .add("sim_time_s", sim_time)
             .add("windows", r.windows)
@@ -170,16 +174,17 @@ int main(int argc, char** argv) {
       const std::string& name = attacker_names[e % attacker_specs.size()];
       if (!extra_header) {
         extra_header = true;
-        std::printf("\n  %-6s %-10s %-6s %-9s %-9s %-12s %-10s\n", "load",
-                    "attacker", "ss", "windows", "flagged", "P(misdiag)",
-                    "95%% upper");
+        std::printf("\n  %-6s %-9s %-4s %-10s %-6s %-9s %-9s %-12s %-10s\n", "load",
+                    "achieved", "sat", "attacker", "ss", "windows", "flagged",
+                    "P(misdiag)", "95% upper");
       }
       for (std::size_t i = 0; i < sample_sizes.size(); ++i) {
         const auto& r = result.per_config[i];
         util::ProportionEstimator p;
         for (std::uint64_t w = 0; w < r.windows; ++w) p.add(w < r.flagged);
-        std::printf("  %-6.1f %-10s %-6.0f %-9llu %-9llu %-12.4f %-10.4f\n",
-                    loads[li], name.c_str(), sample_sizes[i],
+        std::printf("  %-6.1f %-9.3f %-4s %-10s %-6.0f %-9llu %-9llu %-12.4f %-10.4f\n",
+                    loads[li], load_cal[li].measured_busy_fraction,
+                    load_cal[li].saturated ? "yes" : "no", name.c_str(), sample_sizes[i],
                     static_cast<unsigned long long>(r.windows),
                     static_cast<unsigned long long>(r.flagged),
                     r.detection_rate, p.wilson_upper());
@@ -190,7 +195,9 @@ int main(int argc, char** argv) {
             .add("attacker", name)
             .add("load", loads[li])
             .add("sample_size", sample_sizes[i])
-            .add("rate_pps", load_rates[li])
+            .add("rate_pps", load_cal[li].packets_per_second)
+            .add("achieved_busy", load_cal[li].measured_busy_fraction)
+            .add("saturated", load_cal[li].saturated)
             .add("runs", runs)
             .add("sim_time_s", sim_time)
             .add("windows", r.windows)

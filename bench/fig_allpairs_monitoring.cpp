@@ -71,15 +71,15 @@ int main(int argc, char** argv) {
   const auto sink = flags.make_sink();
   bench::RateCache rates(scenario);
 
-  const std::vector<double> load_rates =
-      engine.map(loads.size(), [&](std::size_t i) { return rates.rate_for(loads[i]); });
+  const std::vector<net::CalibrationResult> load_cal = engine.map(
+      loads.size(), [&](std::size_t i) { return rates.calibration_for(loads[i]); });
 
   std::vector<detect::MultiDetectionConfig> points;
   for (std::size_t li = 0; li < loads.size(); ++li) {
     for (double pm : pms) {
       detect::MultiDetectionConfig cfg;
       cfg.scenario = scenario;
-      cfg.rate_pps = load_rates[li];
+      cfg.rate_pps = load_cal[li].packets_per_second;
       cfg.pm = pm;
       cfg.all_pairs = true;
       for (double margin : margins) {
@@ -105,10 +105,10 @@ int main(int argc, char** argv) {
 
   std::size_t point = 0;
   for (std::size_t li = 0; li < loads.size(); ++li) {
-    std::printf(
-        "\n## Load = %.1f  (columns: all-paths rate / statistical-only rate "
-        "(windows), summed over monitoring nodes)\n",
-        loads[li]);
+    std::printf("\n## Load = %.1f (", loads[li]);
+    bench::print_achieved_load(load_cal[li]);
+    std::printf(")  (columns: all-paths rate / statistical-only rate (windows), "
+                "summed over monitoring nodes)\n");
     std::printf("  %-5s %-7s", "PM", "margin");
     for (double ss : sample_sizes) std::printf("  ss=%-17.0f", ss);
     std::printf("  nodes  intensity\n");
@@ -136,7 +136,9 @@ int main(int argc, char** argv) {
               .add("pm", pm)
               .add("sample_size", sample_sizes[si])
               .add("margin", margins[mi])
-              .add("rate_pps", load_rates[li])
+              .add("rate_pps", load_cal[li].packets_per_second)
+              .add("achieved_busy", load_cal[li].measured_busy_fraction)
+              .add("saturated", load_cal[li].saturated)
               .add("runs", runs)
               .add("sim_time_s", flags.get_double("sim_time"))
               .add("monitor_nodes", result.monitor_nodes)

@@ -88,8 +88,8 @@ void run(const ZooEntry& entry) {
   }
   const NodeId s = 0, r = 1, c = 2;
   const SimTime stop = seconds_to_time(60);
-  ZooContext ctx{sim,  *macs[s], *radios[s], params,
-                 r,    stop,     {s},        /*feed_attacker=*/true};
+  ZooContext ctx{sim, *macs[s], *radios[s], params, r, stop, {s},
+                 /*feed_attacker=*/true, /*gap_bound=*/false, /*flooder=*/nullptr};
   entry.install(ctx);
   if (entry.faults.enabled()) channel.install_faults(faults);
 

@@ -10,13 +10,26 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-echo "== plain build =="
-cmake -B build -S . >/dev/null
-cmake --build build -j "$jobs"
-ctest --test-dir build --output-on-failure -j "$jobs"
-
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
+
+# The tree compiles without a single warning, so any `warning:` line fails
+# the build stage. An incremental build only recompiles (and so only
+# checks) the sources that changed since the last build of that tree.
+build_without_warnings() {  # $1 build dir
+  local log="$smoke_dir/$1.log"
+  cmake --build "$1" -j "$jobs" 2>&1 | tee "$log"
+  if grep -q 'warning:' "$log"; then
+    echo "$1: the build printed compiler warnings:"
+    grep 'warning:' "$log"
+    exit 1
+  fi
+}
+
+echo "== plain build =="
+cmake -B build -S . >/dev/null
+build_without_warnings build
+ctest --test-dir build --output-on-failure -j "$jobs"
 strip_timing() {  # wall-clock and thread count are the only fields allowed to differ
   sed -E 's/, "wall_seconds": [^,}]+//; s/, "threads": [0-9]+//' "$1"
 }
@@ -36,7 +49,7 @@ same_across_threads() {  # $1 bench, $2 tag, then sweep flags...
     || { echo "$tag output differs across thread counts"; exit 1; }
 }
 same_across_threads fig3_cond_prob_grid fig3 --rates=10,40 --measure_time=5
-same_across_threads fig6_misdiagnosis_static fig6 --loads=0.6 \
+same_across_threads fig6_misdiagnosis_static fig6 --loads=0.6,0.9 \
     --sample_sizes=10,25 --sim_time=20 --runs=2
 same_across_threads fig5d_detection_mobile fig5d --pms=50 \
     --sample_sizes=10,25 --sim_time=40 --runs=2
@@ -49,7 +62,7 @@ same_across_threads fig_roc_adversaries roc \
 # the 56-radio Table-1 sweep (cell probe, static audible lists), the mobile
 # sweep (cell probe, moving radios) and the 9-radio degree-8 all-pairs
 # sweep (every radio a candidate) must match the always-exact full scan.
-./build/bench/fig6_misdiagnosis_static --loads=0.6 --sample_sizes=10,25 \
+./build/bench/fig6_misdiagnosis_static --loads=0.6,0.9 --sample_sizes=10,25 \
     --sim_time=20 --runs=2 --threads=4 --channel_index=scan \
     --json="$smoke_dir/fig6_scan.json" >/dev/null
 diff <(strip_timing "$smoke_dir/fig6_t1.json") \
@@ -80,7 +93,7 @@ if [[ -f build-asan/CMakeCache.txt ]] && \
   exit 1
 fi
 cmake -B build-asan -S . -DMANET_SANITIZE=ON >/dev/null
-cmake --build build-asan -j "$jobs"
+build_without_warnings build-asan
 oracle_tests='Golden|HubEquivalence|AllPipelines|IntensityFold'
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -E "$oracle_tests"
 

@@ -15,10 +15,14 @@ ObservationHub::ObservationHub(sim::Simulator& simulator, NodeId self,
 ObservationHub::ObservationHub(sim::Simulator& simulator, mac::DcfMac& monitor_mac,
                                phy::CsTimeline& timeline)
     : ObservationHub(simulator, monitor_mac.id(), monitor_mac.params(), timeline) {
-  monitor_mac.add_observer(this);
+  mac_ = &monitor_mac;
+  mac_->add_observer(this);
 }
 
-ObservationHub::~ObservationHub() { timeline_.clear_edge_observer(this); }
+ObservationHub::~ObservationHub() {
+  if (mac_) mac_->remove_observer(this);
+  timeline_.clear_edge_observer(this);
+}
 
 void ObservationHub::attach(HubView* view) { views_.push_back(view); }
 

@@ -224,8 +224,9 @@ class ObservationHub : public mac::MacObserver, private phy::CsEdgeObserver {
 
   /// Live convenience form: registers with `monitor_mac`'s observer hook
   /// so decoded frames are pushed in by the simulation (the node's radio
-  /// feeds `timeline` directly). `timeline` must be the carrier-sense
-  /// timeline of the same node.
+  /// feeds `timeline` directly), and unregisters on destruction, so
+  /// `monitor_mac` must outlive the hub. `timeline` must be the
+  /// carrier-sense timeline of the same node.
   ObservationHub(sim::Simulator& simulator, mac::DcfMac& monitor_mac,
                  phy::CsTimeline& timeline);
 
@@ -304,6 +305,7 @@ class ObservationHub : public mac::MacObserver, private phy::CsEdgeObserver {
   NodeId self_;
   mac::DcfParams params_;
   phy::CsTimeline& timeline_;
+  mac::DcfMac* mac_ = nullptr;  // the live form's MAC, observed until destruction
   std::vector<HubView*> views_;
   // unique_ptr entries: views hold raw pointers across growth.
   std::vector<std::unique_ptr<FrameRing>> rings_;

@@ -65,6 +65,14 @@ std::string format_load(double load) {
   return buf;
 }
 
+/// "measured busy fraction 0.822, saturated" for the calibration lines.
+std::string describe(const net::CalibrationResult& r) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "measured busy fraction %.3f%s",
+                r.measured_busy_fraction, r.saturated ? ", saturated" : "");
+  return buf;
+}
+
 /// The flow layout every detection bench calibrates against: one flow at
 /// the monitored center pair plus the configured random background flows.
 void default_setup(net::Network& net) {
@@ -84,7 +92,7 @@ std::string scenario_fingerprint(const net::ScenarioConfig& s) {
   const mac::DcfParams& m = s.mac;
   const phy::PropagationParams& p = s.prop;
   const phy::FaultPlan& f = s.faults;
-  out << "v2"
+  out << "v3"
       << "|topo=" << static_cast<int>(s.topology) << ":" << s.grid_rows << "x"
       << s.grid_cols << ":" << s.grid_spacing_m << ":" << s.random_nodes << ":"
       << s.area_width_m << "x" << s.area_height_m
@@ -149,60 +157,60 @@ RateCache::Slot& RateCache::slot_for(double load) {
   return *slot;
 }
 
-double RateCache::rate_for(double load) {
+const net::CalibrationResult& RateCache::calibration_for(double load) {
   Slot& slot = slot_for(load);
   std::call_once(slot.once, [&] {
-    double cached = 0.0;
-    if (file_lookup(load, &cached)) {
-      std::printf("# calibrated load %.2f -> %.2f pkt/s per flow (rate cache)\n",
-                  load, cached);
+    if (file_lookup(load, &slot.result)) {
+      std::printf("# calibrated load %.2f -> %.2f pkt/s per flow (rate cache, %s)\n",
+                  load, slot.result.packets_per_second, describe(slot.result).c_str());
       std::fflush(stdout);
-      slot.rate = cached;
       return;
     }
-    const net::CalibrationResult result = calibrate_(scenario_, load);
-    std::printf("# calibrated load %.2f -> %.2f pkt/s per flow "
-                "(measured busy fraction %.3f, %d probe runs)\n",
-                load, result.packets_per_second, result.measured_busy_fraction,
-                result.probe_runs);
+    slot.result = calibrate_(scenario_, load);
+    std::printf("# calibrated load %.2f -> %.2f pkt/s per flow (%s, %d probe runs)\n",
+                load, slot.result.packets_per_second, describe(slot.result).c_str(),
+                slot.result.probe_runs);
     std::fflush(stdout);
-    file_store(load, result.packets_per_second);
-    slot.rate = result.packets_per_second;
+    file_store(load, slot.result);
   });
-  return slot.rate;
+  return slot.result;
 }
 
-bool RateCache::file_lookup(double load, double* rate) const {
+bool RateCache::file_lookup(double load, net::CalibrationResult* result) const {
   if (cache_file_.empty()) return false;
   std::ifstream in(cache_file_);
   if (!in) return false;
   const std::string want_load = format_load(load);
   std::string fp, load_text;
-  double r = 0.0;
+  double rate = 0.0, busy = 0.0;
+  int saturated = 0;
   std::string line;
   while (std::getline(in, line)) {
     std::istringstream fields(line);
-    if (!(fields >> fp >> load_text >> r)) continue;
-    if (fp == fingerprint_ && load_text == want_load) {
-      *rate = r;
+    if (!(fields >> fp >> load_text >> rate >> busy >> saturated)) continue;
+    if (fp == fingerprint_ && load_text == want_load &&
+        (saturated == 0 || saturated == 1)) {
+      *result = {.packets_per_second = rate,
+                 .measured_busy_fraction = busy,
+                 .saturated = saturated == 1};
       return true;
     }
   }
   return false;
 }
 
-void RateCache::file_store(double load, double rate) const {
+void RateCache::file_store(double load, const net::CalibrationResult& result) const {
   if (cache_file_.empty()) return;
   // Concurrent bench processes may store entries at the same time; a
   // plain append can interleave partial lines. Rewrite the file atomically
   // under an advisory lock, merging our entry into whatever the file holds
   // by then — the cache is best-effort, so a failure to lock or write just
   // means this calibration is not shared.
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", rate);
-  const std::string entry =
-      fingerprint_ + " " + format_load(load) + " " + buf + "\n";
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "%.17g %.17g %d", result.packets_per_second,
+                result.measured_busy_fraction, result.saturated ? 1 : 0);
   const std::string key_prefix = fingerprint_ + " " + format_load(load) + " ";
+  const std::string entry = key_prefix + buf + "\n";
   atomic_file_update(cache_file_, [&](const std::string& current) {
     std::istringstream in(current);
     std::string line;

@@ -4,12 +4,14 @@
 // std::map that re-ran the (expensive) probe simulations per process and
 // was unsafe to touch from the engine's worker threads. This version is
 //  * concurrency-safe: per-load std::once_flag, so a load is calibrated
-//    exactly once even under concurrent rate_for() calls (callers for the
+//    exactly once even under concurrent calibration_for() calls (callers for the
 //    same load block; different loads calibrate in parallel), and
 //  * shareable across bench processes: an optional append-only cache file
 //    (constructor argument, or $MANET_RATE_CACHE) keyed by a scenario
 //    fingerprint + load, so bench/run_all.sh pays for each calibration
-//    point once instead of once per bench.
+//    point once instead of once per bench. A line holds the whole result
+//    (rate, achieved busy fraction, saturated), so a cached load reports
+//    the load that ran just as a fresh calibration does.
 #pragma once
 
 #include <functional>
@@ -43,19 +45,24 @@ class RateCache {
   explicit RateCache(net::ScenarioConfig scenario, std::string cache_file = "",
                      Calibrator calibrate = {});
 
-  /// Per-flow packet rate that produces `load` at the monitored pair.
+  /// The calibration of `load` at the monitored pair: the per-flow rate,
+  /// the busy fraction it achieved and whether the load saturated below
+  /// the target (`probe_runs` is 0 when the entry came from the file).
   /// Calibrates at most once per load; safe to call from worker threads.
-  double rate_for(double load);
+  const net::CalibrationResult& calibration_for(double load);
+
+  /// Per-flow packet rate that produces `load` at the monitored pair.
+  double rate_for(double load) { return calibration_for(load).packets_per_second; }
 
  private:
   struct Slot {
     std::once_flag once;
-    double rate = 0.0;
+    net::CalibrationResult result;
   };
 
   Slot& slot_for(double load);
-  bool file_lookup(double load, double* rate) const;
-  void file_store(double load, double rate) const;
+  bool file_lookup(double load, net::CalibrationResult* result) const;
+  void file_store(double load, const net::CalibrationResult& result) const;
 
   net::ScenarioConfig scenario_;
   std::string fingerprint_;  // identifies the scenario in the file cache

@@ -26,7 +26,9 @@ void AdaptiveBackoff::on_frame(const Frame& frame, SimTime /*start*/, SimTime en
       suspects_.end()) {
     return;
   }
-  if (!last_monitor_heard_ || end > *last_monitor_heard_) last_monitor_heard_ = end;
+  if (last_monitor_heard_ == kTimeNever || end > last_monitor_heard_) {
+    last_monitor_heard_ = end;
+  }
 }
 
 // --- Sybil -------------------------------------------------------------------

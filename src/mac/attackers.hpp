@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -115,8 +114,8 @@ class AdaptiveBackoff : public BackoffPolicy, public MacObserver {
   /// True when the policy would behave honestly at `now`.
   bool lying_low(SimTime now) const {
     if (now < probation_until_) return true;
-    return last_monitor_heard_ && vigilance_ > 0 &&
-           now - *last_monitor_heard_ < vigilance_;
+    return last_monitor_heard_ != kTimeNever && vigilance_ > 0 &&
+           now - last_monitor_heard_ < vigilance_;
   }
 
  private:
@@ -124,7 +123,7 @@ class AdaptiveBackoff : public BackoffPolicy, public MacObserver {
   SimTime probation_until_;
   SimDuration vigilance_;
   std::vector<NodeId> suspects_;
-  std::optional<SimTime> last_monitor_heard_;
+  SimTime last_monitor_heard_ = kTimeNever;  // kTimeNever: no suspect heard yet
 };
 
 // --- Sybil identities --------------------------------------------------------

@@ -106,6 +106,8 @@ class DcfMac : public phy::RadioListener {
 
   void set_listener(MacListener* listener) { listener_ = listener; }
   void add_observer(MacObserver* observer) { observers_.push_back(observer); }
+  /// Unregisters `observer`; a no-op when it is not registered.
+  void remove_observer(MacObserver* observer) { std::erase(observers_, observer); }
 
   /// Replaces the back-off behavior (default: honest). Takes ownership.
   void set_backoff_policy(std::unique_ptr<BackoffPolicy> policy);

@@ -8,6 +8,70 @@ namespace {
 void default_setup(Network& net) { net.build_random_flows(); }
 }  // namespace
 
+CalibrationResult search_rate(const BusyAt& busy_at, double target, double tol,
+                              int max_probes) {
+  CalibrationResult result;
+  const auto probe = [&](double rate) {
+    ++result.probe_runs;
+    const double busy = busy_at(rate);
+    if (result.probe_runs == 1 ||
+        std::abs(busy - target) < std::abs(result.measured_busy_fraction - target)) {
+      result.packets_per_second = rate;
+      result.measured_busy_fraction = busy;
+    }
+    return busy;
+  };
+  const auto converged = [&] {
+    return std::abs(result.measured_busy_fraction - target) <= tol;
+  };
+  const auto budget_left = [&] { return result.probe_runs < max_probes; };
+
+  // Bracket: busy(lo) < target <= busy(hi), with busy(0) = 0.
+  double lo = 0.0, lo_busy = 0.0;
+  double hi = kFirstProbeRate;
+  double hi_busy = probe(hi);
+  while (hi_busy < target && !converged()) {
+    if (hi >= kMaxProbeRate) {
+      result.saturated = true;
+      return result;
+    }
+    if (!budget_left()) return result;
+    lo = hi;
+    lo_busy = hi_busy;
+    hi *= 2.0;
+    hi_busy = probe(hi);
+    if (hi_busy < target && !converged() && lo_busy >= 0.5 * target &&
+        hi_busy - lo_busy < tol) {
+      result.saturated = true;  // the plateau
+      return result;
+    }
+  }
+
+  // Illinois false position on f(rate) = busy(rate) - target. When the
+  // same end survives two steps in a row its f is halved, so a curved
+  // busy(rate) cannot pin one end and crawl in from the other.
+  double f_lo = lo_busy - target;  // < 0
+  double f_hi = hi_busy - target;  // >= 0
+  int last_moved = 0;              // -1: lo, +1: hi
+  while (!converged() && budget_left()) {
+    double rate = (lo * f_hi - hi * f_lo) / (f_hi - f_lo);
+    if (!(rate > lo && rate < hi)) rate = 0.5 * (lo + hi);
+    const double f = probe(rate) - target;
+    if (f < 0.0) {
+      lo = rate;
+      f_lo = f;
+      if (last_moved == -1) f_hi *= 0.5;
+      last_moved = -1;
+    } else {
+      hi = rate;
+      f_hi = f;
+      if (last_moved == 1) f_lo *= 0.5;
+      last_moved = 1;
+    }
+  }
+  return result;
+}
+
 double measure_busy_fraction(const ScenarioConfig& config, double packets_per_second,
                              NodeId probe, const FlowSetup& setup,
                              double warmup_s, double measure_s) {
@@ -32,7 +96,6 @@ double measure_busy_fraction(const ScenarioConfig& config, double packets_per_se
 
 CalibrationResult calibrate_load(const ScenarioConfig& config, double target,
                                  const FlowSetup& setup, double tol, int max_probes) {
-  CalibrationResult result;
   // Probe at the center node (where the paper's monitored pair sits). The
   // center is layout-determined, so build one throwaway network to find it.
   NodeId probe;
@@ -40,46 +103,9 @@ CalibrationResult calibrate_load(const ScenarioConfig& config, double target,
     Network net(config);
     probe = net.center_node();
   }
-
-  auto probe_busy = [&](double rate) {
-    ++result.probe_runs;
-    return measure_busy_fraction(config, rate, probe, setup);
-  };
-
-  // Bracket the target: grow the rate until the busy fraction exceeds it.
-  double lo_rate = 0.0, lo_busy = 0.0;
-  double hi_rate = 4.0;
-  double hi_busy = probe_busy(hi_rate);
-  while (hi_busy < target && hi_rate < 4096.0 && result.probe_runs < max_probes) {
-    lo_rate = hi_rate;
-    lo_busy = hi_busy;
-    hi_rate *= 2.0;
-    hi_busy = probe_busy(hi_rate);
-  }
-
-  // Bisect within the bracket.
-  double best_rate = hi_rate, best_busy = hi_busy;
-  while (result.probe_runs < max_probes &&
-         std::abs(best_busy - target) > tol) {
-    const double mid = 0.5 * (lo_rate + hi_rate);
-    const double busy = probe_busy(mid);
-    if (std::abs(busy - target) < std::abs(best_busy - target)) {
-      best_rate = mid;
-      best_busy = busy;
-    }
-    if (busy < target) {
-      lo_rate = mid;
-      lo_busy = busy;
-    } else {
-      hi_rate = mid;
-      hi_busy = busy;
-    }
-  }
-  (void)lo_busy;
-
-  result.packets_per_second = best_rate;
-  result.measured_busy_fraction = best_busy;
-  return result;
+  return search_rate(
+      [&](double rate) { return measure_busy_fraction(config, rate, probe, setup); },
+      target, tol, max_probes);
 }
 
 }  // namespace manet::net

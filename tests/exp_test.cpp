@@ -4,6 +4,7 @@
 // numeric-list parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -588,6 +589,71 @@ TEST(RateCache, FileCacheKeySeparatesEveryCalibrationInput) {
     EXPECT_EQ(probes, 2) << name << ": an entry missed its own scenario";
   }
   std::remove(path.c_str());
+}
+
+TEST(RateCache, FileRoundTripKeepsTheWholeCalibration) {
+  const std::string path = temp_path("round_trip.cache");
+  std::remove(path.c_str());
+  const net::ScenarioConfig scenario;
+  const auto calibrator = [](const net::ScenarioConfig&, double load) {
+    net::CalibrationResult r;
+    r.packets_per_second = load > 0.8 ? 64.0 : 21.734619140625001 / 3.0;
+    r.measured_busy_fraction = load > 0.8 ? 0.82213333333333338 : 0.1 * load + 1e-17;
+    r.saturated = load > 0.8;
+    r.probe_runs = 5;
+    return r;
+  };
+  RateCache first(scenario, path, calibrator);
+  const net::CalibrationResult fresh_09 = first.calibration_for(0.9);
+  const net::CalibrationResult fresh_06 = first.calibration_for(0.6);
+  EXPECT_EQ(fresh_09.probe_runs, 5);
+
+  int probes = 0;
+  RateCache second(scenario, path, [&probes](const net::ScenarioConfig&, double) {
+    ++probes;
+    return net::CalibrationResult{};
+  });
+  for (const auto& [load, fresh] : {std::pair{0.9, fresh_09}, std::pair{0.6, fresh_06}}) {
+    const net::CalibrationResult& cached = second.calibration_for(load);
+    EXPECT_EQ(cached.packets_per_second, fresh.packets_per_second) << load;  // bit-exact
+    EXPECT_EQ(cached.measured_busy_fraction, fresh.measured_busy_fraction) << load;
+    EXPECT_EQ(cached.saturated, fresh.saturated) << load;
+    EXPECT_EQ(cached.probe_runs, 0) << load;  // nothing was probed
+    EXPECT_EQ(second.rate_for(load), fresh.packets_per_second) << load;
+  }
+  EXPECT_EQ(probes, 0);
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
+}
+
+TEST(RateCache, IgnoresVersion2CacheLines) {
+  // A v2 line (rate only) for this very scenario and load: written by the
+  // current cache, then rewritten into the old format.
+  const std::string path = temp_path("v2_line.cache");
+  std::remove(path.c_str());
+  const net::ScenarioConfig scenario;
+  const auto calibrator = [](double rate, int* probes) {
+    return [rate, probes](const net::ScenarioConfig&, double) {
+      ++*probes;
+      net::CalibrationResult r;
+      r.packets_per_second = rate;
+      r.measured_busy_fraction = 0.5;
+      return r;
+    };
+  };
+  int probes = 0;
+  RateCache(scenario, path, calibrator(3072.0, &probes)).rate_for(0.9);
+  std::string line = slurp(path);
+  ASSERT_EQ(line.compare(0, 3, "v3|"), 0) << line;
+  line.replace(0, 2, "v2");
+  line.erase(line.rfind(' ', line.rfind(' ') - 1));  // drop busy fraction and flag
+  spit(path, line + "\n");
+  ASSERT_EQ(std::count(line.begin(), line.end(), ' '), 2) << line;
+
+  EXPECT_EQ(RateCache(scenario, path, calibrator(64.0, &probes)).rate_for(0.9), 64.0);
+  EXPECT_EQ(probes, 2);  // the v2 line was not taken
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
 }
 
 TEST(RateCache, AtomicFileUpdateMergesSequentialWriters) {

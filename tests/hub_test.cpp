@@ -260,6 +260,44 @@ TEST(Hub, FactoryStandaloneMatchesLegacyLayout) {
   EXPECT_EQ(m->self(), 1u);  // the fixture's MAC is node 1
 }
 
+TEST(Hub, DestroyedLiveHubStopsObservingMac) {
+  // A standalone monitor's private hub observes its node's MAC; once the
+  // monitor is gone the MAC must not call into it. (Before the hub
+  // unregistered itself, ASan reported heap-use-after-free here.)
+  sim::Simulator sim;
+  const mac::DcfParams params;
+  phy::Propagation prop(phy::PropagationParams{}, 3);
+  FixedPositions positions({{0, 0}, {200, 0}});
+  phy::Channel channel(sim, prop, positions);
+  std::vector<std::unique_ptr<phy::Radio>> radios;
+  std::vector<std::unique_ptr<mac::DcfMac>> macs;
+  std::vector<std::unique_ptr<phy::CsTimeline>> timelines;
+  for (NodeId i = 0; i < 2; ++i) {
+    radios.push_back(std::make_unique<phy::Radio>(i, channel));
+    macs.push_back(std::make_unique<mac::DcfMac>(sim, *radios.back(), params));
+    timelines.push_back(std::make_unique<phy::CsTimeline>());
+    radios.back()->add_listener(timelines.back().get());
+  }
+  struct Counter : mac::MacObserver {
+    std::uint64_t frames = 0;
+    void on_frame(const mac::Frame&, SimTime, SimTime) override { ++frames; }
+  } counter;
+  {
+    const auto m = MonitorFactory(sim, *macs[1], *timelines[1]).watch(0, small_monitor());
+    macs[1]->add_observer(&counter);
+  }
+  for (std::uint64_t id = 0; id < 20; ++id) macs[0]->enqueue(1, 512, id);
+  sim.run_until(2 * kSecond);
+  EXPECT_GT(macs[1]->stats().frames_received, 0u);
+  EXPECT_GT(counter.frames, 0u);  // observers registered after the hub still run
+  macs[1]->remove_observer(&counter);
+  const std::uint64_t seen = counter.frames;
+  for (std::uint64_t id = 20; id < 30; ++id) macs[0]->enqueue(1, 512, id);
+  sim.run_until(4 * kSecond);
+  EXPECT_EQ(counter.frames, seen);
+  macs[1]->remove_observer(&counter);  // removing twice is a no-op
+}
+
 // --- Batch config-grouping --------------------------------------------------
 
 TEST(MonitorBatch, LanesDifferingOnlyInTestKnobsShareAGroup) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "net/load.hpp"
 #include "net/mobility.hpp"
@@ -268,6 +271,162 @@ TEST(Load, CalibratorHitsTarget) {
   const auto result = calibrate_load(cfg, 0.35, {}, 0.04, 10);
   EXPECT_NEAR(result.measured_busy_fraction, 0.35, 0.08);
   EXPECT_GT(result.packets_per_second, 0.0);
+}
+
+TEST(Load, CalibratorStopsAtTheSmallGridsSaturationPlateau) {
+  // No per-flow rate keeps the 3x3 grid's center busy 99% of the time.
+  const auto result = calibrate_load(small_grid(), 0.99);
+  EXPECT_TRUE(result.saturated);
+  EXPECT_LT(result.probe_runs, 12);
+  EXPECT_LT(result.measured_busy_fraction, 0.99 - 0.03);
+  EXPECT_GT(result.measured_busy_fraction, 0.3);
+}
+
+// --- search_rate on synthetic busy(rate) curves -------------------------------
+
+/// busy(rate) read off a table of doubling rates, linear in between.
+BusyAt table_curve(std::vector<std::pair<double, double>> points) {
+  return [points = std::move(points)](double rate) {
+    if (rate <= points.front().first) return points.front().second;
+    for (std::size_t i = 1; i < points.size(); ++i) {
+      const auto [r1, b1] = points[i];
+      if (rate <= r1) {
+        const auto [r0, b0] = points[i - 1];
+        return b0 + (b1 - b0) * (rate - r0) / (r1 - r0);
+      }
+    }
+    return points.back().second;
+  };
+}
+
+/// Wraps a curve, recording every probed rate.
+struct Probed {
+  explicit Probed(BusyAt c) : curve(std::move(c)) {}
+  BusyAt curve;
+  std::vector<double> rates;
+  BusyAt fn() {
+    return [this](double rate) {
+      rates.push_back(rate);
+      return curve(rate);
+    };
+  }
+};
+
+/// The calibration search before false position, kept as the probe-count
+/// baseline: the same doubling bracket (no plateau stop), then bisection.
+int bisection_probes(const BusyAt& busy_at, double target, double tol, int max_probes) {
+  int probes = 0;
+  const auto probe = [&](double rate) {
+    ++probes;
+    return busy_at(rate);
+  };
+  double lo = 0.0, hi = kFirstProbeRate;
+  double hi_busy = probe(hi);
+  while (hi_busy < target && hi < kMaxProbeRate && probes < max_probes) {
+    lo = hi;
+    hi *= 2.0;
+    hi_busy = probe(hi);
+  }
+  double best = hi_busy;
+  while (probes < max_probes && std::abs(best - target) > tol) {
+    const double mid = 0.5 * (lo + hi);
+    const double busy = probe(mid);
+    if (std::abs(busy - target) < std::abs(best - target)) best = busy;
+    (busy < target ? lo : hi) = mid;
+  }
+  return probes;
+}
+
+TEST(Load, SearchStopsAtTheSaturationPlateau) {
+  // The Table-1 grid's center (seed 101, the rate cache's flows): above
+  // 32 pkt/s the busy fraction creeps along 0.82-0.85 and never nears 0.9.
+  Probed p(table_curve({{4, 0.162}, {8, 0.362}, {16, 0.753}, {32, 0.815}, {64, 0.822},
+                        {128, 0.837}, {256, 0.831}, {512, 0.832}, {1024, 0.847},
+                        {2048, 0.847}, {4096, 0.832}}));
+  const CalibrationResult r = search_rate(p.fn(), 0.9);
+  EXPECT_TRUE(r.saturated);
+  EXPECT_EQ(r.probe_runs, 5);
+  EXPECT_EQ(p.rates, (std::vector<double>{4, 8, 16, 32, 64}));
+  EXPECT_EQ(r.packets_per_second, 64.0);  // the probe closest to the target
+  EXPECT_DOUBLE_EQ(r.measured_busy_fraction, 0.822);
+}
+
+TEST(Load, SearchStopsOnANoisyNonMonotonePlateau) {
+  // Noise lifts one doubling by more than tol (0.74 -> 0.78); the next one
+  // falls back. The search stops there and keeps the best probe, 32.
+  Probed p(table_curve({{4, 0.20}, {8, 0.45}, {16, 0.74}, {32, 0.78}, {64, 0.76},
+                        {128, 0.79}, {256, 0.77}, {4096, 0.78}}));
+  const CalibrationResult r = search_rate(p.fn(), 0.9);
+  EXPECT_TRUE(r.saturated);
+  EXPECT_EQ(r.probe_runs, 5);
+  EXPECT_EQ(r.packets_per_second, 32.0);
+  EXPECT_DOUBLE_EQ(r.measured_busy_fraction, 0.78);
+}
+
+TEST(Load, SearchDoesNotTakeAQuietStartForAPlateau) {
+  // 4 -> 8 pkt/s raises the busy fraction by only 0.008 < tol, but both
+  // probes sit far below half the target: keep doubling.
+  Probed p([](double rate) { return std::min(0.95, rate / 512.0); });
+  const CalibrationResult r = search_rate(p.fn(), 0.4);
+  EXPECT_FALSE(r.saturated);
+  EXPECT_NEAR(r.measured_busy_fraction, 0.4, 1e-9);
+  // A straight line: one false-position step from the [128, 256] bracket.
+  ASSERT_EQ(p.rates.size(), 8u);
+  EXPECT_EQ(std::vector<double>(p.rates.begin(), p.rates.end() - 1),
+            (std::vector<double>{4, 8, 16, 32, 64, 128, 256}));
+  EXPECT_NEAR(p.rates.back(), 204.8, 1e-9);
+}
+
+TEST(Load, SearchCallsTheCapSaturated) {
+  // Every doubling adds 0.05 (> tol), yet 4096 pkt/s only reaches 0.6.
+  Probed p([](double rate) { return 0.05 * std::log2(rate); });
+  const CalibrationResult r = search_rate(p.fn(), 0.9);
+  EXPECT_TRUE(r.saturated);
+  EXPECT_EQ(r.probe_runs, 11);
+  EXPECT_EQ(r.packets_per_second, kMaxProbeRate);
+}
+
+TEST(Load, IllinoisConvergesInFewerProbesThanBisection) {
+  // Saturating curves of the shape the grids show, over reachable targets.
+  // Bisection's midpoint sometimes lands within tol by luck, so compare the
+  // totals and the worst cases, not every pair.
+  int illinois_total = 0, bisection_total = 0;
+  int illinois_worst = 0, bisection_worst = 0;
+  for (const double knee : {3.0, 7.0, 12.0, 25.0, 60.0, 150.0}) {
+    const BusyAt curve = [knee](double rate) { return 0.95 * (1.0 - std::exp(-rate / knee)); };
+    for (const double target : {0.15, 0.3, 0.45, 0.6, 0.75, 0.85}) {
+      SCOPED_TRACE(testing::Message() << "knee " << knee << " target " << target);
+      const CalibrationResult r = search_rate(curve, target);
+      EXPECT_FALSE(r.saturated);
+      EXPECT_NEAR(r.measured_busy_fraction, target, 0.03);
+      EXPECT_DOUBLE_EQ(curve(r.packets_per_second), r.measured_busy_fraction);
+      const int bisection = bisection_probes(curve, target, 0.03, 12);
+      illinois_total += r.probe_runs;
+      bisection_total += bisection;
+      illinois_worst = std::max(illinois_worst, r.probe_runs);
+      bisection_worst = std::max(bisection_worst, bisection);
+    }
+  }
+  EXPECT_LT(illinois_total, bisection_total);
+  EXPECT_LT(illinois_worst, bisection_worst);
+}
+
+TEST(Load, SearchNeverExceedsMaxProbes) {
+  // A step at 100 pkt/s defeats false position at a tight tolerance; a
+  // slow ramp defeats the bracket. Every budget is honored exactly.
+  const BusyAt step = [](double rate) { return rate < 100.0 ? 0.2 : 0.8; };
+  const BusyAt ramp = [](double rate) { return 0.05 * std::log2(rate); };
+  for (const BusyAt& curve : {step, ramp}) {
+    for (int max_probes = 1; max_probes <= 15; ++max_probes) {
+      SCOPED_TRACE(max_probes);
+      Probed p(curve);
+      const CalibrationResult r = search_rate(p.fn(), 0.5, 0.001, max_probes);
+      EXPECT_LE(r.probe_runs, max_probes);
+      EXPECT_EQ(static_cast<std::size_t>(r.probe_runs), p.rates.size());
+    }
+  }
+  Probed p(step);
+  EXPECT_EQ(search_rate(p.fn(), 0.5, 0.001, 12).probe_runs, 12);
 }
 
 
