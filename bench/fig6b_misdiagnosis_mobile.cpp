@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   const auto result = detect::run_multi_detection_trials(cfg, runs, engine);
 
   std::printf("  %-6s %-9s %-9s %-12s %-10s\n", "ss", "windows", "flagged",
-              "P(misdiag)", "95%% upper");
+              "P(misdiag)", "95% upper");
   for (std::size_t i = 0; i < sample_sizes.size(); ++i) {
     const auto& r = result.per_config[i];
     util::ProportionEstimator p;

@@ -3,7 +3,12 @@
 // the wire format and through the full offline detection pipeline.
 //
 //  * trace_decode     — parse + CRC-check a serialized .mtrace image
-//                       into ObservationEvents (MemoryTraceReader).
+//                       into the reader's compact decoded form; ops are
+//                       events (carrier edges included).
+//  * trace_decode_edges / trace_decode_frames — the same over the
+//                       workload's carrier edges alone (ops = edges) and
+//                       over everything else (ops = frames): the decode
+//                       cost per edge and per frame, separately.
 //  * trace_serialize  — the writer side: frame, block, and checksum a
 //                       recorded event stream back into wire bytes.
 //  * replay_batch_*   — reconstruct the monitor world and pump every
@@ -17,6 +22,9 @@
 //  * replay_batch_wilcoxon_x16 — the same replay evaluating a 16-config
 //                       (sample size x margin) monitor grid over the one
 //                       recorded stream.
+//  * replay_edges_only — replay of the carrier edges alone (ops = edges):
+//                       what each edge costs the timeline and the ARMA
+//                       fold, with no frame to close a window.
 //
 // The workload trace is recorded once per process from a fig5-style
 // static-grid run (PM 65, saturating rate) — the same shape the
@@ -60,6 +68,17 @@ const std::vector<std::uint8_t>& workload_trace() {
   return bytes;
 }
 
+/// The workload trace with only its carrier edges (`edges`) or only its
+/// other events, re-serialized under the same header.
+std::vector<std::uint8_t> split_trace(bool edges) {
+  const detect::MemoryTraceReader reader(workload_trace());
+  detect::TraceWriter writer(reader.header());
+  for (const detect::ObservationEvent& ev : reader.events()) {
+    if ((ev.kind == detect::ObservationKind::kCarrier) == edges) writer.record(ev);
+  }
+  return writer.serialize();
+}
+
 struct TraceCensus {
   std::size_t events = 0;
   std::size_t frames = 0;
@@ -74,15 +93,40 @@ TraceCensus census(const detect::MemoryTraceReader& reader) {
   return c;
 }
 
-/// Full offline detection over the trace; ops = decoded frames replayed.
-/// `configs` > 1 replays a (sample size x margin) monitor grid over the
-/// one recorded stream — the shape the batched lanes exist for.
-void run_replay(bench::MicroHarness& h, const std::string& name,
-                detect::DetectorKind kind,
-                std::size_t configs, std::size_t base_reps) {
+/// Decodes `bytes` `base_reps` times; ops = what `unit` counts per decode.
+void run_decode(bench::MicroHarness& h, const std::string& name,
+                const std::vector<std::uint8_t>& bytes, std::size_t unit,
+                std::size_t base_reps) {
   if (!h.enabled(name)) return;
-  detect::MemoryTraceReader reader(workload_trace());
+  const std::size_t reps = h.reps(base_reps);
+  std::size_t events = 0;
+  h.run_case(
+      name,
+      [&] {
+        for (std::size_t i = 0; i < reps; ++i) {
+          detect::MemoryTraceReader reader(bytes);
+          events = reader.event_count();
+          bench::keep(events);
+        }
+        return static_cast<std::uint64_t>(reps * unit);
+      },
+      [&](exp::Record& rec) {
+        rec.add("events", events).add("trace_bytes", bytes.size());
+      });
+}
+
+/// Full offline detection over `bytes`; ops = decoded frames replayed, or
+/// carrier edges when `per_edge`. `configs` > 1 replays a (sample size x
+/// margin) monitor grid over the one recorded stream — the shape the
+/// batched lanes exist for.
+void run_replay(bench::MicroHarness& h, const std::string& name,
+                const std::vector<std::uint8_t>& bytes, bool per_edge,
+                detect::DetectorKind kind, std::size_t configs,
+                std::size_t base_reps) {
+  if (!h.enabled(name)) return;
+  const detect::MemoryTraceReader reader(bytes);
   const TraceCensus c = census(reader);
+  const std::size_t unit = per_edge ? reader.edge_count() : c.frames;
   std::vector<detect::MonitorConfig> monitors;
   const std::size_t sample_sizes[] = {10, 25, 50, 100};
   for (std::size_t i = 0; i < configs; ++i) {
@@ -102,16 +146,16 @@ void run_replay(bench::MicroHarness& h, const std::string& name,
       [&] {
         for (std::size_t i = 0; i < reps; ++i) {
           detect::ReplaySession session(reader.header(), monitors);
-          reader.rewind();
           session.run(reader);
           windows = session.views().front()->stats().windows;
           bench::keep(windows);
         }
-        return static_cast<std::uint64_t>(reps * c.frames);
+        return static_cast<std::uint64_t>(reps * unit);
       },
       [&](exp::Record& rec) {
         rec.add("frames", c.frames)
             .add("events", c.events)
+            .add("edges", reader.edge_count())
             .add("configs", configs)
             .add("windows", windows);
       });
@@ -126,29 +170,23 @@ int main(int argc, char** argv) {
       "full offline replay through the batched detection pipeline.",
       argc, argv);
 
-  if (h.enabled("trace_decode")) {
-    const auto& bytes = workload_trace();
-    const std::size_t reps = h.reps(50);
-    std::size_t events = 0;
-    h.run_case(
-        "trace_decode",
-        [&] {
-          std::uint64_t total = 0;
-          for (std::size_t i = 0; i < reps; ++i) {
-            detect::MemoryTraceReader reader(bytes);
-            events = reader.event_count();
-            total += events;
-            bench::keep(reader.events().data());
-          }
-          return total;  // ops = events decoded
-        },
-        [&](exp::Record& rec) {
-          rec.add("events", events).add("trace_bytes", bytes.size());
-        });
+  const auto& trace = workload_trace();
+  run_decode(h, "trace_decode", trace, detect::MemoryTraceReader(trace).event_count(),
+             50);
+  if (h.enabled("trace_decode_edges") || h.enabled("trace_decode_frames") ||
+      h.enabled("replay_edges_only")) {
+    const auto edges = split_trace(true);
+    const auto frames = split_trace(false);
+    run_decode(h, "trace_decode_edges", edges,
+               detect::MemoryTraceReader(edges).edge_count(), 50);
+    run_decode(h, "trace_decode_frames", frames,
+               census(detect::MemoryTraceReader(frames)).frames, 50);
+    run_replay(h, "replay_edges_only", edges, true, detect::DetectorKind::kWilcoxon,
+               1, 20);
   }
 
   if (h.enabled("trace_serialize")) {
-    const detect::MemoryTraceReader reader(workload_trace());
+    const detect::MemoryTraceReader reader(trace);
     const std::size_t reps = h.reps(50);
     h.run_case(
         "trace_serialize",
@@ -166,10 +204,12 @@ int main(int argc, char** argv) {
         [&](exp::Record& rec) { rec.add("events", reader.event_count()); });
   }
 
-  run_replay(h, "replay_batch_wilcoxon", detect::DetectorKind::kWilcoxon, 1, 20);
-  run_replay(h, "replay_batch_cusum", detect::DetectorKind::kCusum, 1, 20);
-  run_replay(h, "replay_batch_sprt", detect::DetectorKind::kSprt, 1, 20);
-  run_replay(h, "replay_batch_wilcoxon_x16", detect::DetectorKind::kWilcoxon,
-             16, 10);
+  run_replay(h, "replay_batch_wilcoxon", trace, false,
+             detect::DetectorKind::kWilcoxon, 1, 20);
+  run_replay(h, "replay_batch_cusum", trace, false, detect::DetectorKind::kCusum, 1,
+             20);
+  run_replay(h, "replay_batch_sprt", trace, false, detect::DetectorKind::kSprt, 1, 20);
+  run_replay(h, "replay_batch_wilcoxon_x16", trace, false,
+             detect::DetectorKind::kWilcoxon, 16, 10);
   return 0;
 }

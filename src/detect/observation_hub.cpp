@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "detect/trace.hpp"
+
 namespace manet::detect {
 
 ObservationHub::ObservationHub(sim::Simulator& simulator, NodeId self,
@@ -92,36 +94,37 @@ void ObservationHub::on_frame(const mac::Frame& frame, SimTime start, SimTime en
   ingest_frame(frame, start, end);
 }
 
-void ObservationHub::ingest(const ObservationEvent& event) {
-  switch (event.kind) {
-    case ObservationKind::kFrame:
-      ingest_frame(event.to_frame(), event.start, event.at);
-      break;
-    case ObservationKind::kCarrier:
-      timeline_.on_carrier(event.rising, event.at);
-      break;
-    case ObservationKind::kOutage:
-      timeline_.on_outage(event.rising, event.at);
-      break;
-    case ObservationKind::kMarker:
-      break;  // out-of-band; consume() hands these to its marker handler
-  }
-}
-
 void ObservationHub::consume(
-    ObservationSource& source,
+    const MemoryTraceReader& trace,
     const std::function<void(const ObservationEvent&)>& on_marker) {
-  ObservationEvent event;
-  while (source.next(event)) {
-    // The hub schedules nothing, so this only moves the clock: components
-    // that read now() (density, ARMA folding) see the event's instant.
-    sim_.run_until(event.at);
-    if (event.kind == ObservationKind::kMarker) {
-      if (on_marker) on_marker(event);
-      continue;
-    }
-    ingest(event);
-  }
+  // The hub schedules nothing, so run_until only moves the clock: the
+  // components that read now() (density, ARMA reads) see a frame's or
+  // marker's instant.
+  trace.for_each(
+      [&](const ObservationEvent& event) {
+        switch (event.kind) {
+          case ObservationKind::kFrame:
+            sim_.run_until(event.at);
+            ingest_frame(event.to_frame(), event.start, event.at);
+            break;
+          case ObservationKind::kOutage:
+            timeline_.on_outage(event.rising, event.at);
+            break;
+          case ObservationKind::kMarker:
+            sim_.run_until(event.at);
+            if (on_marker) on_marker(event);
+            break;
+          case ObservationKind::kCarrier:  // decoded as runs
+            break;
+        }
+      },
+      [&](std::span<const SimTime> edges, bool busy) {
+        for (const SimTime at : edges) {
+          timeline_.on_carrier(busy, at);
+          busy = !busy;
+        }
+      });
+  sim_.run_until(trace.end_time());
 }
 
 void ObservationHub::ingest_frame(const mac::Frame& frame, SimTime start,

@@ -34,12 +34,13 @@
 //    pre-refactor estimator would have frozen instead. Attach views whose
 //    activity can diverge to separate hubs if that distinction matters.
 //
-// Ingestion is source-agnostic (PR 7): the hub consumes ObservationEvents
-// (decoded frame / carrier edge / outage edge, observation_source.hpp)
+// Ingestion is source-agnostic: the hub consumes ObservationEvents
+// (decoded frame / carrier edge / outage edge, observation_event.hpp)
 // either pushed by live simulator callbacks (the mac::MacObserver hook,
-// with the radio feeding the timeline directly) or pulled from a recorded
-// trace via consume(). Both paths funnel into the same ingest_frame()
-// code, so live and replayed detection are byte-identical.
+// with the radio feeding the timeline directly) or walked from a decoded
+// trace by consume(). Both paths funnel decoded frames into the same
+// ingest_frame() code and carrier/outage edges into the same CsTimeline
+// calls, so live and replayed detection are byte-identical.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +53,7 @@
 
 #include "detect/arma.hpp"
 #include "detect/density.hpp"
-#include "detect/observation_source.hpp"
+#include "detect/observation_event.hpp"
 #include "mac/dcf.hpp"
 #include "phy/cs_timeline.hpp"
 #include "sim/simulator.hpp"
@@ -60,6 +61,8 @@
 #include "util/types.hpp"
 
 namespace manet::detect {
+
+class MemoryTraceReader;
 
 /// One frame decoded by the hub's node. The transmitter lies within the
 /// node's transmission range, hence within separation + tx_range < sensing
@@ -214,7 +217,7 @@ class ObservationHub : public mac::MacObserver, private phy::CsEdgeObserver {
   };
 
   /// Source-agnostic form: a hub for node `self` (the monitor node R)
-  /// whose observations arrive via ingest()/consume(). `timeline` is the
+  /// whose observations arrive via consume(). `timeline` is the
   /// carrier-sense record the hub reads AND (for replayed carrier/outage
   /// events) writes; it must belong to the same node. The hub is the
   /// timeline's edge observer until it is destroyed: a second hub on the
@@ -258,16 +261,15 @@ class ObservationHub : public mac::MacObserver, private phy::CsEdgeObserver {
   const mac::DcfParams& params() const { return params_; }
   phy::CsTimeline& timeline() { return timeline_; }
 
-  /// Feeds one observation event through the same path the live callbacks
-  /// use: frames go to the shared components and attached views, carrier
-  /// and outage edges go to the timeline. kMarker events are ignored here
-  /// (replay harnesses interpret them via consume()'s handler).
-  void ingest(const ObservationEvent& event);
-
-  /// Pull-from-source ingestion loop: moves the hub's simulator clock to
-  /// each event's time, then ingests it. `on_marker`, when set, receives
-  /// kMarker events (activity toggles of a recorded mobile-handoff run).
-  void consume(ObservationSource& source,
+  /// Replays a decoded trace through the same path the live callbacks
+  /// use: carrier and outage edges go straight to the timeline (whose
+  /// before-edge hook folds ARMA batches at the edge's time), frames go to
+  /// the shared components and attached views. Only frames and markers
+  /// move the hub's simulator clock — nothing on the edge path reads
+  /// now() — and the clock ends at the trace's last event. `on_marker`,
+  /// when set, receives kMarker events (activity toggles of a recorded
+  /// mobile-handoff run).
+  void consume(const MemoryTraceReader& trace,
                const std::function<void(const ObservationEvent&)>& on_marker = {});
 
   // Sharing diagnostics (tests assert views with equal knobs share).
@@ -281,7 +283,7 @@ class ObservationHub : public mac::MacObserver, private phy::CsEdgeObserver {
 
  private:
   /// Shared ingestion body: density/ring updates + view dispatch. The live
-  /// on_frame passes the original frame; ingest() passes the reconstructed
+  /// on_frame passes the original frame; consume() passes the reconstructed
   /// one (identical in every field the pipeline reads).
   void ingest_frame(const mac::Frame& frame, SimTime start, SimTime end);
 

@@ -23,8 +23,8 @@ ReplaySession::ReplaySession(const TraceHeader& header,
   }
 }
 
-void ReplaySession::run(ObservationSource& source) {
-  hub_->consume(source, [this](const ObservationEvent& ev) {
+void ReplaySession::run(const MemoryTraceReader& trace) {
+  hub_->consume(trace, [this](const ObservationEvent& ev) {
     if (ev.marker_code == static_cast<std::uint32_t>(MarkerCode::kActivity)) {
       for (auto& view : views_) view->set_active(ev.marker_value != 0);
     }
@@ -34,7 +34,7 @@ void ReplaySession::run(ObservationSource& source) {
 }
 
 MultiDetectionResult replay_detection(
-    const std::vector<MemoryTraceReader*>& traces,
+    const std::vector<const MemoryTraceReader*>& traces,
     const std::vector<MonitorConfig>& monitors, double warmup_s,
     bool collect_windows) {
   MultiDetectionResult result;
@@ -44,9 +44,8 @@ MultiDetectionResult replay_detection(
 
   std::vector<std::unique_ptr<ReplaySession>> sessions;
   sessions.reserve(traces.size());
-  for (MemoryTraceReader* trace : traces) {
+  for (const MemoryTraceReader* trace : traces) {
     auto session = std::make_unique<ReplaySession>(trace->header(), monitors);
-    trace->rewind();
     session->run(*trace);
     for (const ObservationEvent& ev : trace->events()) {
       if (ev.kind == ObservationKind::kMarker &&
@@ -96,7 +95,7 @@ MultiDetectionResult replay_detection(const TraceRecorder& recorder,
   // Round-trip through the wire format on purpose: this path is what the
   // equivalence tests drive, and it must exercise serialization.
   std::vector<std::unique_ptr<MemoryTraceReader>> readers;
-  std::vector<MemoryTraceReader*> ptrs;
+  std::vector<const MemoryTraceReader*> ptrs;
   readers.reserve(recorder.writers().size());
   for (const auto& writer : recorder.writers()) {
     readers.push_back(std::make_unique<MemoryTraceReader>(writer->serialize()));

@@ -4,7 +4,8 @@
 // header — a bare simulator advanced to the recording start, a
 // carrier-sense timeline restored from the header snapshot — and runs the
 // SAME Monitor/ObservationHub code the live experiment runs, fed by
-// ObservationHub::consume() instead of simulator callbacks. Replayed
+// ObservationHub::consume() walking the decoded trace instead of simulator
+// callbacks. Replayed
 // MonitorStats and window logs are byte-identical to the live run that
 // recorded the trace (tests/trace_test.cpp holds this across static,
 // mobile-handoff, lossy, and attacker scenarios).
@@ -35,10 +36,10 @@ class ReplaySession {
   ReplaySession(const TraceHeader& header,
                 const std::vector<MonitorConfig>& monitors);
 
-  /// Drains `source` through the hub. kActivity markers toggle every view
+  /// Replays `trace` through the hub. kActivity markers toggle every view
   /// (the recorded handoff suspends/resumes); other markers only advance
-  /// the clock. May be called with multiple sources in sequence.
-  void run(ObservationSource& source);
+  /// the clock. May be called with several traces in sequence.
+  void run(const MemoryTraceReader& trace);
 
   const TraceHeader& header() const { return header_; }
   const std::vector<std::unique_ptr<Monitor>>& views() const { return views_; }
@@ -62,7 +63,7 @@ class ReplaySession {
 /// accumulate in creation order. `handoffs` is recovered from the
 /// suspend markers in the traces; `measured_rho` (live-only) stays 0.
 MultiDetectionResult replay_detection(
-    const std::vector<MemoryTraceReader*>& traces,
+    const std::vector<const MemoryTraceReader*>& traces,
     const std::vector<MonitorConfig>& monitors, double warmup_s,
     bool collect_windows = false);
 

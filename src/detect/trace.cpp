@@ -3,6 +3,7 @@
 #include <array>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <type_traits>
 
 #include "util/crc32.hpp"
@@ -38,6 +39,13 @@ struct ByteWriter {
   }
   void put_bytes(const std::uint8_t* data, std::size_t len) {
     out.insert(out.end(), data, data + len);
+  }
+  void put_varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      out.push_back(static_cast<std::uint8_t>(v | 0x80));
+      v >>= 7;
+    }
+    out.push_back(static_cast<std::uint8_t>(v));
   }
 };
 
@@ -79,6 +87,35 @@ struct ByteReader {
     need(len);
     std::memcpy(dst, data + pos, len);
     pos += len;
+  }
+  bool get_bool() {
+    const std::uint8_t v = get_u8();
+    if (v > 1) throw TraceError("trace: bad state byte " + std::to_string(v));
+    return v != 0;
+  }
+  /// Unsigned LEB128 in its shortest form: a value wider than 64 bits and
+  /// a redundant trailing zero group are both refused.
+  std::uint64_t get_varint() {
+    std::uint64_t v = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      if (pos == size) throw TraceError("trace: truncated payload");
+      const std::uint8_t b = data[pos++];
+      if (shift == 63 && b > 1) throw TraceError("trace: varint overflows 64 bits");
+      v |= std::uint64_t{b & 0x7Fu} << shift;
+      if (b < 0x80) {
+        if (b == 0 && shift > 0) throw TraceError("trace: overlong varint");
+        return v;
+      }
+    }
+  }
+  std::size_t left() const { return size - pos; }
+  /// A u32 element count, refused unless the unread bytes could hold that
+  /// many `element_bytes`-byte elements: a forged count cannot size an
+  /// allocation beyond the payload.
+  std::uint32_t get_count(std::size_t element_bytes) {
+    const std::uint32_t n = get_u32();
+    if (n > left() / element_bytes) throw TraceError("trace: list length exceeds payload");
+    return n;
   }
   bool done() const { return pos == size; }
 };
@@ -152,14 +189,14 @@ phy::CsTimelineSnapshot get_snapshot(ByteReader& r) {
   s.last_edge = r.get_i64();
   s.outage_start = r.get_i64();
   s.cum_busy = r.get_i64();
-  const std::uint32_t n_tr = r.get_u32();
+  const std::uint32_t n_tr = r.get_count(8 + 1);
   s.transitions.reserve(n_tr);
   for (std::uint32_t i = 0; i < n_tr; ++i) {
     const SimTime at = r.get_i64();
     const bool busy = r.get_u8() != 0;
     s.transitions.emplace_back(at, busy);
   }
-  const std::uint32_t n_out = r.get_u32();
+  const std::uint32_t n_out = r.get_count(8 + 8);
   s.outages.reserve(n_out);
   for (std::uint32_t i = 0; i < n_out; ++i) {
     const SimTime start = r.get_i64();
@@ -194,7 +231,7 @@ TraceHeader parse_header_payload(const std::uint8_t* data, std::size_t size) {
   h.node = r.get_u32();
   h.start_time = r.get_i64();
   h.params = get_params(r);
-  const std::uint32_t n_targets = r.get_u32();
+  const std::uint32_t n_targets = r.get_count(4);
   h.targets.reserve(n_targets);
   for (std::uint32_t i = 0; i < n_targets; ++i) h.targets.push_back(r.get_u32());
   h.timeline = get_snapshot(r);
@@ -216,7 +253,8 @@ void put_event(ByteWriter& w, const ObservationEvent& ev) {
       w.put_u32(ev.seq_off);
       w.put_bytes(ev.digest.data(), ev.digest.size());
       break;
-    case ObservationKind::kCarrier:
+    case ObservationKind::kCarrier:  // written as runs (put_run)
+      break;
     case ObservationKind::kOutage:
       w.put_u8(ev.rising ? 1 : 0);
       w.put_i64(ev.at);
@@ -229,20 +267,13 @@ void put_event(ByteWriter& w, const ObservationEvent& ev) {
   }
 }
 
-/// Bytes of the shortest encoded event (a carrier or outage edge: kind,
-/// state, time).
-constexpr std::size_t kMinEventBytes = 1 + 1 + 8;
-
 /// An event block's framing: payload_len, event_count, crc32.
 constexpr std::size_t kBlockHeaderBytes = 3 * 4;
 
-ObservationEvent get_event(ByteReader& r) {
-  ObservationEvent ev;
-  const std::uint8_t kind = r.get_u8();
-  if (kind > static_cast<std::uint8_t>(ObservationKind::kMarker)) {
-    throw TraceError("trace: unknown event kind " + std::to_string(kind));
-  }
-  ev.kind = static_cast<ObservationKind>(kind);
+/// Decodes the fixed-width record (frame, outage or marker) of `kind`
+/// into `ev`, a default-constructed event.
+void get_event(ByteReader& r, ObservationKind kind, ObservationEvent& ev) {
+  ev.kind = kind;
   switch (ev.kind) {
     case ObservationKind::kFrame: {
       const std::uint8_t type = r.get_u8();
@@ -260,9 +291,10 @@ ObservationEvent get_event(ByteReader& r) {
       r.get_bytes(ev.digest.data(), ev.digest.size());
       break;
     }
-    case ObservationKind::kCarrier:
+    case ObservationKind::kCarrier:  // decoded as runs
+      break;
     case ObservationKind::kOutage:
-      ev.rising = r.get_u8() != 0;
+      ev.rising = r.get_bool();
       ev.at = r.get_i64();
       break;
     case ObservationKind::kMarker:
@@ -271,7 +303,11 @@ ObservationEvent get_event(ByteReader& r) {
       ev.at = r.get_i64();
       break;
   }
-  return ev;
+}
+
+/// `to - from` for to >= from, exact over the whole SimTime range.
+std::uint64_t time_delta(SimTime from, SimTime to) {
+  return static_cast<std::uint64_t>(to) - static_cast<std::uint64_t>(from);
 }
 
 }  // namespace
@@ -280,7 +316,8 @@ std::uint32_t trace_crc32(const std::uint8_t* data, std::size_t len) {
   return util::crc32(data, len);
 }
 
-TraceWriter::TraceWriter(const TraceHeader& header) : header_(header) {
+TraceWriter::TraceWriter(const TraceHeader& header)
+    : header_(header), last_at_(header.start_time) {
   const std::vector<std::uint8_t> payload = header_payload(header_);
   ByteWriter w{buffer_};
   w.put_u32(kTraceMagic);
@@ -290,8 +327,22 @@ TraceWriter::TraceWriter(const TraceHeader& header) : header_(header) {
 }
 
 void TraceWriter::record(const ObservationEvent& event) {
-  ByteWriter w{block_};
-  put_event(w, event);
+  if (event.at < last_at_) {
+    throw TraceError("trace: event at " + std::to_string(event.at) +
+                     " precedes the previous event at " + std::to_string(last_at_));
+  }
+  if (event.kind == ObservationKind::kCarrier) {
+    if (run_edges_ > 0 && event.rising != run_next_busy_) close_run();
+    if (run_edges_ == 0) run_first_busy_ = event.rising;
+    ByteWriter{run_}.put_varint(time_delta(last_at_, event.at));
+    ++run_edges_;
+    run_next_busy_ = !event.rising;
+  } else {
+    close_run();
+    ByteWriter w{block_};
+    put_event(w, event);
+  }
+  last_at_ = event.at;
   ++block_events_;
   ++events_;
   if (block_events_ >= kBlockEvents) flush_block();
@@ -306,8 +357,24 @@ void TraceWriter::marker(MarkerCode code, std::uint64_t value, SimTime at) {
   record(ev);
 }
 
+void TraceWriter::put_run(std::vector<std::uint8_t>& payload) const {
+  if (run_edges_ == 0) return;
+  ByteWriter w{payload};
+  w.put_u8(static_cast<std::uint8_t>(ObservationKind::kCarrier));
+  w.put_u8(run_first_busy_ ? 1 : 0);
+  w.put_varint(run_edges_);
+  w.put_bytes(run_.data(), run_.size());
+}
+
+void TraceWriter::close_run() {
+  put_run(block_);
+  run_.clear();
+  run_edges_ = 0;
+}
+
 void TraceWriter::flush_block() {
   if (block_events_ == 0) return;
+  close_run();
   ByteWriter w{buffer_};
   w.put_u32(static_cast<std::uint32_t>(block_.size()));
   w.put_u32(block_events_);
@@ -321,10 +388,12 @@ std::vector<std::uint8_t> TraceWriter::serialize() const {
   std::vector<std::uint8_t> out = buffer_;
   ByteWriter w{out};
   if (block_events_ > 0) {
-    w.put_u32(static_cast<std::uint32_t>(block_.size()));
+    std::vector<std::uint8_t> block = block_;
+    put_run(block);
+    w.put_u32(static_cast<std::uint32_t>(block.size()));
     w.put_u32(block_events_);
-    w.put_u32(trace_crc32(block_.data(), block_.size()));
-    w.put_bytes(block_.data(), block_.size());
+    w.put_u32(trace_crc32(block.data(), block.size()));
+    w.put_bytes(block.data(), block.size());
   }
   // The end block: a stream cut at a block boundary lacks it.
   w.put_u32(0);
@@ -378,10 +447,10 @@ MemoryTraceReader::MemoryTraceReader(std::span<const std::uint8_t> bytes) {
     header_ = parse_header_payload(payload, len);
     stream.pos += len;
   }
-  // Walk the block headers first: find the end block, and size the event
+  // Walk the block headers first: find the end block, and size the edge
   // vector once. A count is only trusted up to what its payload could
-  // hold, so a forged header cannot size an allocation beyond the
-  // stream's own length.
+  // hold (every event takes at least one byte), so a forged header cannot
+  // size an allocation beyond the stream's own length.
   const std::size_t blocks_at = stream.pos;
   std::size_t total = 0;
   for (;;) {
@@ -397,14 +466,13 @@ MemoryTraceReader::MemoryTraceReader(std::span<const std::uint8_t> bytes) {
       break;
     }
     stream.need(len);
-    if (count > len / kMinEventBytes) {
-      throw TraceError("trace: event count exceeds block payload");
-    }
+    if (count > len) throw TraceError("trace: event count exceeds block payload");
     total += count;
     stream.pos += len;
   }
   const std::size_t blocks_end = stream.pos - kBlockHeaderBytes;
-  events_.reserve(total);
+  edge_at_.reserve(total);
+  end_time_ = header_.start_time;
   stream.pos = blocks_at;
   while (stream.pos < blocks_end) {
     const std::uint32_t len = stream.get_u32();
@@ -414,19 +482,78 @@ MemoryTraceReader::MemoryTraceReader(std::span<const std::uint8_t> bytes) {
     if (trace_crc32(payload, len) != crc) {
       throw TraceError("trace: event block CRC mismatch");
     }
-    ByteReader block{payload, len};
-    for (std::uint32_t i = 0; i < count; ++i) {
-      events_.push_back(get_event(block));
-    }
-    if (!block.done()) throw TraceError("trace: trailing bytes in event block");
+    decode_block(payload, len, count);
     stream.pos += len;
   }
 }
 
-bool MemoryTraceReader::next(ObservationEvent& event) {
-  if (cursor_ >= events_.size()) return false;
-  event = events_[cursor_++];
-  return true;
+void MemoryTraceReader::decode_block(const std::uint8_t* payload, std::size_t len,
+                                     std::uint32_t count) {
+  ByteReader block{payload, len};
+  SimTime at = end_time_;
+  std::uint32_t left = count;
+  while (left > 0) {
+    const std::uint8_t kind = block.get_u8();
+    if (kind > static_cast<std::uint8_t>(ObservationKind::kMarker)) {
+      throw TraceError("trace: unknown event kind " + std::to_string(kind));
+    }
+    if (kind != static_cast<std::uint8_t>(ObservationKind::kCarrier)) {
+      ObservationEvent& ev = events_.emplace_back();
+      get_event(block, static_cast<ObservationKind>(kind), ev);
+      if (ev.at < at) throw TraceError("trace: event time goes backwards");
+      at = ev.at;
+      --left;
+      continue;
+    }
+    const std::size_t run_at = block.pos - 1;
+    const bool busy = block.get_bool();
+    const std::uint64_t n = block.get_varint();
+    if (n == 0) throw TraceError("trace: empty carrier run");
+    // Each edge takes at least one byte, so this also bounds the loop by
+    // the payload still unread.
+    if (n > left || n > block.left()) {
+      throw TraceError("trace: carrier run exceeds its block");
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t delta = block.get_varint();
+      if (delta > time_delta(at, std::numeric_limits<SimTime>::max())) {
+        throw TraceError("trace: carrier edge time overflows");
+      }
+      at = static_cast<SimTime>(static_cast<std::uint64_t>(at) + delta);
+      edge_at_.push_back(at);
+    }
+    runs_.push_back(EdgeRun{events_.size(), edge_at_.size(), busy});
+    edge_run_bytes_ += block.pos - run_at;
+    left -= static_cast<std::uint32_t>(n);
+  }
+  if (!block.done()) throw TraceError("trace: trailing bytes in event block");
+  end_time_ = at;
+}
+
+bool MemoryTraceReader::EventView::iterator::at_edge() const {
+  const auto& runs = reader_->runs_;
+  return run_ < runs.size() && event_ == runs[run_].events_before;
+}
+
+ObservationEvent MemoryTraceReader::EventView::iterator::operator*() const {
+  if (!at_edge()) return reader_->events_[event_];
+  const auto& runs = reader_->runs_;
+  const std::size_t first = run_ == 0 ? 0 : runs[run_ - 1].end;
+  ObservationEvent ev;
+  ev.kind = ObservationKind::kCarrier;
+  ev.at = reader_->edge_at_[edge_];
+  ev.rising = runs[run_].busy != ((edge_ - first) % 2 == 1);
+  return ev;
+}
+
+MemoryTraceReader::EventView::iterator&
+MemoryTraceReader::EventView::iterator::operator++() {
+  if (!at_edge()) {
+    ++event_;
+  } else if (++edge_ == reader_->runs_[run_].end) {
+    ++run_;
+  }
+  return *this;
 }
 
 namespace {

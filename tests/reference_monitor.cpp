@@ -428,8 +428,7 @@ struct ReferenceWorld {
     monitor = std::make_unique<ReferenceMonitor>(*hub, target, config);
   }
 
-  void run(MemoryTraceReader& trace) {
-    trace.rewind();
+  void run(const MemoryTraceReader& trace) {
     hub->consume(trace, [this](const ObservationEvent& ev) {
       if (ev.marker_code == static_cast<std::uint32_t>(MarkerCode::kActivity)) {
         monitor->set_active(ev.marker_value != 0);

@@ -26,6 +26,11 @@ namespace {
 
 // --- Format round-trip -------------------------------------------------------
 
+std::vector<ObservationEvent> all_events(const MemoryTraceReader& reader) {
+  const auto view = reader.events();
+  return {view.begin(), view.end()};
+}
+
 TraceHeader sample_header() {
   TraceHeader h;
   h.node = 7;
@@ -59,7 +64,8 @@ std::vector<ObservationEvent> sample_events(std::size_t n) {
         rts.attempt = static_cast<std::uint8_t>(1 + i % 7);
         rts.data_digest[0] = static_cast<std::uint8_t>(i);
         rts.data_digest[15] = 0xAB;
-        ev = ObservationEvent::from_frame(rts, t, t + 496 * kMicrosecond);
+        // A frame is perceived at its decode end: `at` is the air end.
+        ev = ObservationEvent::from_frame(rts, t - 496 * kMicrosecond, t);
         break;
       }
       case 1:
@@ -97,17 +103,7 @@ TEST(TraceFormat, RoundTripPreservesHeaderAndEvents) {
   MemoryTraceReader reader(writer.serialize());
   EXPECT_EQ(reader.header(), header);
   ASSERT_EQ(reader.event_count(), events.size());
-
-  ObservationEvent ev;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    ASSERT_TRUE(reader.next(ev)) << "event " << i;
-    EXPECT_EQ(ev, events[i]) << "event " << i;
-  }
-  EXPECT_FALSE(reader.next(ev));
-
-  reader.rewind();
-  ASSERT_TRUE(reader.next(ev));
-  EXPECT_EQ(ev, events[0]);
+  EXPECT_EQ(all_events(reader), events);
 }
 
 TEST(TraceFormat, SerializationIsCanonical) {
@@ -141,7 +137,7 @@ TEST(TraceFormat, FileReaderMatchesMemoryReader) {
   MemoryTraceReader mem(writer.serialize());
   EXPECT_EQ(file.header(), mem.header());
   ASSERT_EQ(file.event_count(), mem.event_count());
-  EXPECT_EQ(file.events(), mem.events());
+  EXPECT_EQ(all_events(file), all_events(mem));
   std::remove(path.c_str());
 }
 
@@ -238,6 +234,198 @@ TEST(TraceFormat, RejectsAForgedEventCount) {
   bytes.insert(bytes.end(), payload.begin(), payload.end());
   for (int i = 0; i < 3; ++i) put_u32_le(bytes, 0);  // end block
   EXPECT_THROW(MemoryTraceReader{bytes}, TraceError);
+}
+
+// --- v3 edge runs, time order, malformed records ------------------------------
+
+void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(v | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+void put_i64_le(std::vector<std::uint8_t>& out, std::int64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<std::uint8_t>(static_cast<std::uint64_t>(v) >> (8 * i)));
+  }
+}
+
+/// `header`'s trace with one hand-built event block (payload, event count)
+/// between the header block and the end block.
+std::vector<std::uint8_t> with_block(const TraceHeader& header,
+                                     const std::vector<std::uint8_t>& payload,
+                                     std::uint32_t count) {
+  std::vector<std::uint8_t> bytes = TraceWriter(header).serialize();
+  bytes.resize(bytes.size() - 12);  // drop the end block
+  put_u32_le(bytes, static_cast<std::uint32_t>(payload.size()));
+  put_u32_le(bytes, count);
+  put_u32_le(bytes, trace_crc32(payload.data(), payload.size()));
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  for (int i = 0; i < 3; ++i) put_u32_le(bytes, 0);
+  return bytes;
+}
+
+ObservationEvent edge(bool busy, SimTime at) {
+  ObservationEvent ev;
+  ev.kind = ObservationKind::kCarrier;
+  ev.rising = busy;
+  ev.at = at;
+  return ev;
+}
+
+TEST(TraceFormat, WriterRejectsTimeGoingBackwards) {
+  const TraceHeader header = sample_header();
+  const SimTime t0 = header.start_time;
+  TraceWriter writer(header);
+  writer.record(edge(true, t0 + 5 * kMillisecond));
+  writer.record(edge(false, t0 + 6 * kMillisecond));
+  EXPECT_THROW(writer.record(edge(true, t0 + 1 * kMillisecond)), TraceError);
+  EXPECT_THROW(writer.marker(MarkerCode::kTraceEnd, 0, t0 + 2 * kMillisecond),
+               TraceError);
+  EXPECT_EQ(writer.events_recorded(), 2u);
+  // Equal times are fine; so is carrying on after a refused event.
+  writer.record(edge(true, t0 + 6 * kMillisecond));
+  EXPECT_EQ(MemoryTraceReader{writer.serialize()}.event_count(), 3u);
+  // Nothing may precede the recording start.
+  TraceWriter early(header);
+  EXPECT_THROW(early.record(edge(true, t0 - 1)), TraceError);
+}
+
+TEST(TraceFormat, ReaderRejectsTimeGoingBackwards) {
+  // Edges at start + 5 and + 6 ms, then an outage edge at `outage_ms`.
+  const TraceHeader header = sample_header();
+  const auto trace = [&](SimTime outage_ms) {
+    std::vector<std::uint8_t> payload = {1, 1, 2};
+    put_varint(payload, 5 * kMillisecond);
+    put_varint(payload, 1 * kMillisecond);
+    payload.push_back(2);
+    payload.push_back(1);
+    put_i64_le(payload, header.start_time + outage_ms * kMillisecond);
+    return with_block(header, payload, 3);
+  };
+  EXPECT_THROW(MemoryTraceReader{trace(1)}, TraceError);
+  const MemoryTraceReader ok(trace(7));
+  EXPECT_EQ(ok.event_count(), 3u);
+  EXPECT_EQ(ok.end_time(), header.start_time + 7 * kMillisecond);
+
+  // A marker before the header's recording start.
+  std::vector<std::uint8_t> payload = {3, 2, 0, 0, 0};
+  for (int i = 0; i < 8; ++i) payload.push_back(0);
+  put_i64_le(payload, header.start_time - 1);
+  EXPECT_THROW(MemoryTraceReader(with_block(header, payload, 1)), TraceError);
+}
+
+TEST(TraceFormat, EdgeRunsRoundTripAnyEdgeStream) {
+  // Repeated states, edges at one instant, a frame between edges, and an
+  // alternating run longer than a block: every edge comes back with its
+  // state and time, and runs split exactly where the states repeat or a
+  // block ends.
+  const TraceHeader header = sample_header();
+  SimTime t = header.start_time;
+  std::vector<ObservationEvent> events = {
+      edge(true, t), edge(true, t), edge(false, t + 3), edge(false, t + 3)};
+  mac::Frame cts;
+  cts.type = mac::FrameType::kCts;
+  cts.transmitter = 4;
+  events.push_back(ObservationEvent::from_frame(cts, t, t + 9));
+  t += 9;
+  bool busy = true;
+  for (std::size_t i = 0; i < TraceWriter::kBlockEvents + 100; ++i) {
+    t += static_cast<SimTime>(1 + (i * 7919) % 300000);
+    events.push_back(edge(busy, t));
+    busy = !busy;
+  }
+  events.push_back(edge(!busy, t + kSecond));  // repeats the last state
+
+  TraceWriter writer(header);
+  for (const auto& ev : events) writer.record(ev);
+  const MemoryTraceReader reader(writer.serialize());
+  EXPECT_EQ(all_events(reader), events);
+  EXPECT_EQ(reader.edge_count(), events.size() - 1);
+  // {busy}, {busy, idle}, {idle}, then the long run split at the block end
+  // (the first block holds 5 + 507 events), then the repeated state.
+  EXPECT_EQ(reader.edge_run_count(), 6u);
+  EXPECT_EQ(reader.end_time(), t + kSecond);
+}
+
+TEST(TraceFormat, RecordedEdgesTakeAboutThreeBytes) {
+  MultiDetectionConfig cfg;
+  cfg.scenario.grid_rows = 3;
+  cfg.scenario.grid_cols = 3;
+  cfg.scenario.num_flows = 5;
+  cfg.scenario.sim_seconds = 5;
+  cfg.scenario.seed = 3;
+  cfg.rate_pps = 25;
+  MonitorConfig m;
+  m.fixed_n = m.fixed_k = m.fixed_m = m.fixed_j = 3.0;
+  m.fixed_contenders = 8.0;
+  cfg.monitors = {m};
+  TraceRecorder recorder;
+  cfg.trace = &recorder;
+  run_multi_detection_experiment(cfg);
+  const MemoryTraceReader reader(recorder.writers().front()->serialize());
+  ASSERT_GT(reader.edge_count(), 1000u);
+  EXPECT_LT(reader.edge_run_count(), reader.edge_count() / 2);
+  EXPECT_LT(static_cast<double>(reader.edge_run_bytes()),
+            4.0 * static_cast<double>(reader.edge_count()));
+}
+
+TEST(TraceFormat, RefusesVersion2) {
+  std::vector<std::uint8_t> bytes = TraceWriter(sample_header()).serialize();
+  ASSERT_EQ(bytes[12], kTraceVersion);
+  bytes[12] = 2;  // the header payload's u16 version
+  const std::uint32_t len = get_u32_le(bytes, 4);
+  const std::uint32_t crc = trace_crc32(bytes.data() + 12, len);
+  for (int i = 0; i < 4; ++i) bytes[8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  try {
+    MemoryTraceReader{bytes};
+    ADD_FAILURE() << "a version-2 stream was accepted";
+  } catch (const TraceError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos) << e.what();
+  }
+}
+
+TEST(TraceFormat, RejectsMalformedEdgeRuns) {
+  const TraceHeader header = sample_header();
+  const std::vector<std::uint8_t> ff9(9, 0xFF);
+  struct Case {
+    const char* what;
+    std::vector<std::uint8_t> payload;
+    std::uint32_t count;
+  };
+  std::vector<Case> cases = {
+      {"empty run", {1, 0, 0}, 1},
+      {"empty run, no count", {1, 0, 0}, 0},
+      {"empty run before a run", {1, 0, 0, 1, 0, 1, 5}, 1},
+      {"overlong delta", {1, 0, 1, 0x85, 0x00}, 1},
+      {"overlong count", {1, 0, 0x81, 0x00, 5}, 1},
+      {"truncated delta", {1, 0, 1, 0x80}, 1},
+      {"run longer than its block", {1, 0, 2, 1, 1}, 1},
+      {"run longer than its payload", {1, 0, 3, 1, 1}, 3},
+      {"bad state byte", {1, 2, 1, 1}, 1},
+      {"unknown kind", {4, 0, 1, 1}, 1},
+  };
+  Case overflow{"delta wider than 64 bits", {1, 0, 1}, 1};
+  overflow.payload.insert(overflow.payload.end(), ff9.begin(), ff9.end());
+  overflow.payload.push_back(0x02);
+  cases.push_back(overflow);
+  Case past_end{"edge time past the end of time", {1, 0, 1}, 1};
+  past_end.payload.insert(past_end.payload.end(), ff9.begin(), ff9.end());
+  past_end.payload.push_back(0x01);  // 2^64 - 1
+  cases.push_back(past_end);
+  Case huge{"run count beyond 32 bits", {1, 0}, 1};
+  put_varint(huge.payload, (std::uint64_t{1} << 32) + 1);
+  huge.payload.push_back(1);
+  cases.push_back(huge);
+  for (const Case& c : cases) {
+    EXPECT_THROW(MemoryTraceReader(with_block(header, c.payload, c.count)), TraceError)
+        << c.what;
+  }
+  const MemoryTraceReader ok(with_block(header, {1, 0, 2, 1, 1}, 2));
+  EXPECT_EQ(ok.edge_count(), 2u);
+  EXPECT_EQ(ok.end_time(), header.start_time + 2);
 }
 
 // --- Live vs replay fidelity -------------------------------------------------
@@ -381,7 +569,7 @@ TEST(TraceReplay, RecordedTraceHeaderDescribesTheRun) {
   // The stream ends with the kTraceEnd marker at the stop time.
   MemoryTraceReader reader(w.serialize());
   ASSERT_GT(reader.event_count(), 0u);
-  const ObservationEvent& last = reader.events().back();
+  const ObservationEvent last = all_events(reader).back();
   EXPECT_EQ(last.kind, ObservationKind::kMarker);
   EXPECT_EQ(last.marker_code, static_cast<std::uint32_t>(MarkerCode::kTraceEnd));
   EXPECT_EQ(last.at, seconds_to_time(cfg.scenario.sim_seconds));

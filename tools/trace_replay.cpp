@@ -10,7 +10,9 @@
 //           recorded monitor-creation order) and run the same monitor
 //           configs over them. The canonical results text is byte-identical
 //           to the recording run's — scripts/check.sh diffs the two.
-//   info    Dump one trace file's header and event census (--file).
+//   info    Dump one trace file's header, event census, and encoding
+//           density: carrier-edge runs, bytes per edge (run records over
+//           edges) and bytes per frame (the whole file over its frames).
 //
 // The monitor configuration is NOT stored in a trace (a trace is pure
 // observation: what the node heard, not what anyone concluded from it), so
@@ -175,7 +177,7 @@ int run_replay(const bench::FlagSet& flags) {
   std::sort(paths.begin(), paths.end());  // recorded creation order
 
   std::vector<std::unique_ptr<detect::FileTraceReader>> readers;
-  std::vector<detect::MemoryTraceReader*> ptrs;
+  std::vector<const detect::MemoryTraceReader*> ptrs;
   for (const auto& path : paths) {
     readers.push_back(std::make_unique<detect::FileTraceReader>(path.string()));
     ptrs.push_back(readers.back().get());
@@ -201,16 +203,26 @@ int run_info(const bench::FlagSet& flags) {
               static_cast<long long>(h.params.slot_time / kMicrosecond),
               h.params.cw_min, h.params.cw_max, h.params.seq_off_modulo);
   std::size_t counts[4] = {0, 0, 0, 0};
-  SimTime last = h.start_time;
   for (const detect::ObservationEvent& ev : reader.events()) {
     ++counts[static_cast<std::size_t>(ev.kind)];
-    last = ev.at;
   }
+  const SimTime last = reader.end_time();
   std::printf("events %zu: %zu frames, %zu carrier edges, %zu outages, "
               "%zu markers\nlast event at %lld (%.3f s span)\n",
               reader.event_count(), counts[0], counts[1], counts[2], counts[3],
               static_cast<long long>(last),
               time_to_seconds(last - h.start_time));
+  const auto per = [](double bytes, std::size_t n) {
+    return n ? bytes / static_cast<double>(n) : 0.0;
+  };
+  const auto file_bytes =
+      static_cast<double>(std::filesystem::file_size(flags.get("file")));
+  std::printf("edge runs %zu (%.2f edges/run): %.2f B/edge; %.0f B file, "
+              "%.1f B/frame\n",
+              reader.edge_run_count(),
+              per(static_cast<double>(reader.edge_count()), reader.edge_run_count()),
+              per(static_cast<double>(reader.edge_run_bytes()), reader.edge_count()),
+              file_bytes, per(file_bytes, counts[0]));
   return 0;
 }
 
