@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
   config.declare("runs", "1", "independent trials aggregated (seeds seed..seed+runs-1)");
   config.declare("threads", "0",
                  "worker threads for the trials (0 = all hardware threads)");
-  detect::DetectionConfig cfg;
+  detect::MultiDetectionConfig cfg;
+  detect::MonitorConfig monitor;
   long long runs = 0;
   long long threads = 0;
   try {
@@ -45,23 +46,26 @@ int main(int argc, char** argv) {
     if (sample_size < 1) throw util::ConfigError("sample_size must be >= 1");
     if (runs < 1) throw util::ConfigError("runs must be >= 1");
     if (threads < 0) throw util::ConfigError("threads must be >= 0");
-    cfg.monitor.sample_size = static_cast<std::size_t>(sample_size);
+    monitor.sample_size = static_cast<std::size_t>(sample_size);
   } catch (const util::ConfigError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
-  cfg.monitor.fixed_n = cfg.monitor.fixed_k = 5.0;  // the paper's grid setting
-  cfg.monitor.fixed_m = cfg.monitor.fixed_j = 5.0;
-  cfg.monitor.fixed_contenders = 20.0;
+  monitor.fixed_n = monitor.fixed_k = 5.0;  // the paper's grid setting
+  monitor.fixed_m = monitor.fixed_j = 5.0;
+  monitor.fixed_contenders = 20.0;
+  cfg.monitors = {monitor};
 
   exp::Engine engine(static_cast<unsigned>(threads));
 
   std::printf("7x8 grid, 30 one-hop flows, tagged node at the grid center "
               "(PM=%.0f%%, %lld run%s)\n\n", cfg.pm, runs, runs == 1 ? "" : "s");
-  const detect::DetectionResult r =
-      detect::run_detection_trials(cfg, static_cast<int>(runs), engine);
+  const detect::MultiDetectionResult result =
+      detect::run_multi_detection_trials(cfg, static_cast<int>(runs), engine);
+  const detect::DetectionResult& r = result.per_config.front();
 
-  std::printf("measured traffic intensity at the monitor : %.3f\n", r.measured_rho);
+  std::printf("measured traffic intensity at the monitor : %.3f\n",
+              result.measured_rho);
   std::printf("RTS frames observed from the tagged node  : %llu\n",
               static_cast<unsigned long long>(r.stats.rts_observed));
   std::printf("back-off samples accepted                 : %llu\n",

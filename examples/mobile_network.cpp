@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
   config.declare("pause", "0", "random waypoint pause time (s)");
   config.declare("sample_size", "10", "Wilcoxon window size");
   config.declare("seed", "17", "random seed");
-  detect::DetectionConfig cfg;
+  detect::MultiDetectionConfig cfg;
+  detect::MonitorConfig monitor;
   try {
     const auto parsed = util::parse_flags(argc, argv, config);
     if (parsed.help) {
@@ -37,30 +38,32 @@ int main(int argc, char** argv) {
     const long long sample_size = config.get_int("sample_size");
     // Cast to size_t below: refuse what would wrap.
     if (sample_size < 1) throw util::ConfigError("sample_size must be >= 1");
-    cfg.monitor.sample_size = static_cast<std::size_t>(sample_size);
+    monitor.sample_size = static_cast<std::size_t>(sample_size);
   } catch (const util::ConfigError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
   cfg.scenario.mobility = net::MobilityKind::kRandomWaypoint;
   cfg.mobile_handoff = true;
-  cfg.monitor.fixed_n = cfg.monitor.fixed_k = 5.0;
-  cfg.monitor.fixed_m = cfg.monitor.fixed_j = 5.0;
-  cfg.monitor.fixed_contenders = 20.0;
+  monitor.fixed_n = monitor.fixed_k = 5.0;
+  monitor.fixed_m = monitor.fixed_j = 5.0;
+  monitor.fixed_contenders = 20.0;
+  cfg.monitors = {monitor};
 
   std::printf("Random waypoint, 0-%.0f m/s, pause %.0f s, tagged node PM=%.0f%%\n\n",
               cfg.scenario.max_speed_mps, cfg.scenario.pause_s, cfg.pm);
-  const detect::DetectionResult r = detect::run_detection_experiment(cfg);
+  const detect::MultiDetectionResult result = detect::run_multi_detection_experiment(cfg);
+  const detect::DetectionResult& r = result.per_config.front();
 
   std::printf("monitor handoffs (range losses)  : %llu\n",
-              static_cast<unsigned long long>(r.handoffs));
+              static_cast<unsigned long long>(result.handoffs));
   std::printf("back-off samples collected       : %llu\n",
               static_cast<unsigned long long>(r.stats.samples));
   std::printf("windows tested / flagged         : %llu / %llu  (%.1f%%)\n",
               static_cast<unsigned long long>(r.windows),
               static_cast<unsigned long long>(r.flagged),
               100 * r.detection_rate);
-  std::printf("measured traffic intensity       : %.3f\n", r.measured_rho);
+  std::printf("measured traffic intensity       : %.3f\n", result.measured_rho);
   std::printf("\nMobility costs samples (the paper reports roughly twice as "
               "many are\nneeded), but violations are still discovered.\n");
   return 0;

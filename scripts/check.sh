@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification: plain build + tests and the artifact determinism
-# gates, then the same suite under AddressSanitizer + UBSan
+# gates, a warning-free Release (-O3, IPO) build, then the same suite
+# under AddressSanitizer + UBSan
 # (-DMANET_SANITIZE=ON), then a multi-threaded short-sweep bench smoke
 # under the sanitizers (races / UB in the experiment engine's parallel
 # trial fan-out would surface here), and finally the benchmark's
@@ -81,6 +82,12 @@ diff <(strip_timing "$smoke_dir/deg8_t1.json") \
      <(strip_timing "$smoke_dir/deg8_scan.json") \
   || { echo "deg8 all-pairs output differs between the index and the full scan"; exit 1; }
 unset MANET_RATE_CACHE
+
+echo "== Release build (bench preset: -O3, IPO) =="
+# Some warnings (g++'s -Wrestrict, for one) only appear once -O3 inlines
+# across calls, so the optimized tree passes the same warning gate.
+cmake --preset bench >/dev/null
+build_without_warnings build-bench
 
 echo "== ASan + UBSan build =="
 # A build-asan dir configured without sanitizers (e.g. a copied plain build)

@@ -78,18 +78,7 @@ MultiDetectionResult aggregate_trials(std::size_t monitor_count,
     }
   }
   if (!trials.empty()) total.measured_rho /= static_cast<double>(trials.size());
-  for (DetectionResult& out : total.per_config) {
-    out.detection_rate = out.windows ? static_cast<double>(out.flagged) /
-                                           static_cast<double>(out.windows)
-                                     : 0.0;
-    out.statistical_rate =
-        out.windows ? static_cast<double>(out.flagged_statistical) /
-                          static_cast<double>(out.windows)
-                    : 0.0;
-    out.measured_rho = total.measured_rho;
-    out.handoffs = total.handoffs;
-    out.wall_seconds = total.wall_seconds;
-  }
+  total.compute_rates();
   return total;
 }
 
@@ -231,38 +220,19 @@ MultiDetectionResult run_multi_detection_experiment(const MultiDetectionConfig& 
     }
   }
 
-  // Monitors are created lazily per monitoring node: one instance per
-  // (configuration, target identity) — config-major, so view ci*T+ti is
-  // configuration ci watching target ti — activated/deactivated together,
-  // as lanes of one MonitorBatch over the node's ObservationHub. Readout
-  // iterates `monitor_order` (creation order) so window logs are
-  // deterministic.
-  struct NodeMonitors {
-    // Member order is the destruction contract: views first, then the
-    // batch (detaching its groups), then the hub.
-    std::unique_ptr<ObservationHub> hub;
-    std::unique_ptr<MonitorBatch> batch;
-    std::vector<std::unique_ptr<Monitor>> views;
-  };
-  std::unordered_map<NodeId, NodeMonitors> monitors;
-  std::vector<NodeId> monitor_order;
+  // Monitoring nodes are created lazily and kept in creation order, which
+  // the readout and the trace recorder follow. Each runs every
+  // configuration on every target, and its views are toggled together.
+  std::vector<std::unique_ptr<MonitoringNode>> monitors;
   auto set_active = [&](NodeId node, bool active) {
-    auto it = monitors.find(node);
+    auto it = std::find_if(monitors.begin(), monitors.end(), [&](const auto& m) {
+      return m->hub().self() == node;
+    });
     if (it == monitors.end()) {
-      NodeMonitors set;
-      set.views.reserve(config.monitors.size() * targets.size());
-      set.hub = std::make_unique<ObservationHub>(
-          net.simulator(), net.mac(node), net.timeline(node));
-      set.batch = std::make_unique<MonitorBatch>(*set.hub);
-      MonitorFactory factory(*set.batch);
-      for (const MonitorConfig& mc : config.monitors) {
-        factory.with_config(mc);
-        for (const NodeId target : targets) {
-          set.views.push_back(factory.watch(target));
-        }
-      }
-      it = monitors.emplace(node, std::move(set)).first;
-      monitor_order.push_back(node);
+      it = monitors.insert(monitors.end(),
+                           std::make_unique<MonitoringNode>(
+                               net.simulator(), net.mac(node), net.timeline(node)));
+      (*it)->watch(config.monitors, targets);
       if (config.trace) {
         // Recording starts the instant this node becomes a monitor: the
         // header snapshots its carrier-sense state now, and the writer is
@@ -280,7 +250,7 @@ MultiDetectionResult run_multi_detection_experiment(const MultiDetectionConfig& 
         net.radio(node).add_listener(&writer);
       }
     }
-    for (auto& mon : it->second.views) mon->set_active(active);
+    (*it)->set_active(active);
     if (config.trace) {
       config.trace->find(node)->marker(MarkerCode::kActivity, active ? 1 : 0,
                                        net.simulator().now());
@@ -356,29 +326,14 @@ MultiDetectionResult run_multi_detection_experiment(const MultiDetectionConfig& 
   net.run_until(stop);
 
   if (config.trace) {
-    for (const NodeId node : monitor_order) {
-      config.trace->find(node)->marker(MarkerCode::kTraceEnd, 0, stop);
+    for (const auto& node : monitors) {
+      config.trace->find(node->hub().self())->marker(MarkerCode::kTraceEnd, 0, stop);
     }
   }
 
-  result.monitor_nodes = monitor_order.size();
-  const std::size_t target_count = targets.size();
-  for (const NodeId node : monitor_order) {
-    const NodeMonitors& set = monitors.at(node);
-    for (std::size_t ci = 0; ci < config.monitors.size(); ++ci) {
-      DetectionResult& out = result.per_config[ci];
-      for (std::size_t ti = 0; ti < target_count; ++ti) {
-        const Monitor& view = *set.views[ci * target_count + ti];
-        for (const WindowResult& w : view.windows()) {
-          if (w.at < warmup) continue;
-          ++out.windows;
-          if (w.flagged()) ++out.flagged;
-          if (w.statistical_flag) ++out.flagged_statistical;
-          if (config.collect_windows) out.window_log.push_back(w);
-        }
-        accumulate_stats(out.stats, view.stats());
-      }
-    }
+  result.monitor_nodes = monitors.size();
+  for (const auto& node : monitors) {
+    result.read_out(*node, warmup, config.collect_windows);
   }
   result.measured_rho =
       stop > warmup
@@ -386,29 +341,41 @@ MultiDetectionResult run_multi_detection_experiment(const MultiDetectionConfig& 
                                 busy_at_warmup) /
                 static_cast<double>(stop - warmup)
           : 0.0;
-  for (DetectionResult& out : result.per_config) {
-    out.detection_rate = out.windows ? static_cast<double>(out.flagged) /
-                                           static_cast<double>(out.windows)
-                                     : 0.0;
-    out.statistical_rate =
-        out.windows ? static_cast<double>(out.flagged_statistical) /
-                          static_cast<double>(out.windows)
-                    : 0.0;
-    out.measured_rho = result.measured_rho;
-    out.handoffs = result.handoffs;
-  }
+  result.compute_rates();
   return result;
+}
+
+void MultiDetectionResult::read_out(const MonitoringNode& node, SimTime warmup,
+                                    bool collect_windows) {
+  const auto& views = node.views();
+  if (views.empty()) return;  // no configurations
+  const std::size_t views_per_config = views.size() / per_config.size();
+  for (std::size_t v = 0; v < views.size(); ++v) {
+    DetectionResult& out = per_config[v / views_per_config];
+    for (const WindowResult& w : views[v]->windows()) {
+      if (w.at < warmup) continue;
+      ++out.windows;
+      if (w.flagged()) ++out.flagged;
+      if (w.statistical_flag) ++out.flagged_statistical;
+      if (collect_windows) out.window_log.push_back(w);
+    }
+    accumulate_stats(out.stats, views[v]->stats());
+  }
+}
+
+void MultiDetectionResult::compute_rates() {
+  const auto rate = [](std::uint64_t count, std::uint64_t windows) {
+    return windows ? static_cast<double>(count) / static_cast<double>(windows) : 0.0;
+  };
+  for (DetectionResult& out : per_config) {
+    out.detection_rate = rate(out.flagged, out.windows);
+    out.statistical_rate = rate(out.flagged_statistical, out.windows);
+  }
 }
 
 MultiDetectionResult run_multi_detection_trials(const MultiDetectionConfig& config,
                                                 int runs, exp::Engine& engine) {
   return run_multi_detection_sweep({config}, runs, engine).at(0);
-}
-
-MultiDetectionResult run_multi_detection_trials(MultiDetectionConfig config,
-                                                int runs) {
-  exp::Engine serial(1);
-  return run_multi_detection_trials(config, runs, serial);
 }
 
 std::vector<MultiDetectionResult> run_multi_detection_sweep(
@@ -436,36 +403,6 @@ std::vector<CondProbResult> run_cond_prob_sweep(
     r.wall_seconds = elapsed_seconds(start);
     return r;
   });
-}
-
-DetectionResult run_detection_experiment(const DetectionConfig& config) {
-  MultiDetectionConfig multi;
-  multi.scenario = config.scenario;
-  multi.rate_pps = config.rate_pps;
-  multi.pm = config.pm;
-  multi.monitors = {config.monitor};
-  multi.warmup_s = config.warmup_s;
-  multi.mobile_handoff = config.mobile_handoff;
-  multi.handoff_period = config.handoff_period;
-  return run_multi_detection_experiment(multi).per_config.at(0);
-}
-
-DetectionResult run_detection_trials(const DetectionConfig& config, int runs,
-                                     exp::Engine& engine) {
-  MultiDetectionConfig multi;
-  multi.scenario = config.scenario;
-  multi.rate_pps = config.rate_pps;
-  multi.pm = config.pm;
-  multi.monitors = {config.monitor};
-  multi.warmup_s = config.warmup_s;
-  multi.mobile_handoff = config.mobile_handoff;
-  multi.handoff_period = config.handoff_period;
-  return run_multi_detection_trials(multi, runs, engine).per_config.at(0);
-}
-
-DetectionResult run_detection_trials(DetectionConfig config, int runs) {
-  exp::Engine serial(1);
-  return run_detection_trials(config, runs, serial);
 }
 
 }  // namespace manet::detect

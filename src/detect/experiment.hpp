@@ -13,8 +13,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "detect/monitor.hpp"
 #include "exp/engine.hpp"
@@ -23,7 +22,8 @@
 
 namespace manet::detect {
 
-class TraceRecorder;  // detect/trace.hpp
+class MonitoringNode;  // detect/monitor_batch.hpp
+class TraceRecorder;   // detect/trace.hpp
 
 // --- Conditional probabilities (Figures 3-4) --------------------------------
 
@@ -79,62 +79,11 @@ struct AttackerSpec {
 
 // --- Detection / misdiagnosis (Figures 5-6) ---------------------------------
 
-struct DetectionConfig {
-  net::ScenarioConfig scenario;
-  double rate_pps = 20.0;
-  /// Percentage of misbehavior of the tagged node (0 = well behaved; used
-  /// for the misdiagnosis experiments).
-  double pm = 0.0;
-  MonitorConfig monitor;
-  double warmup_s = 3.0;
-  /// Hand the monitor role to a new neighbor when the current one leaves
-  /// the tagged node's transmission range (mobile scenarios).
-  bool mobile_handoff = false;
-  SimDuration handoff_period = 500 * kMillisecond;
-};
-
-struct DetectionResult {
-  std::uint64_t windows = 0;
-  std::uint64_t flagged = 0;                // statistical OR deterministic
-  std::uint64_t flagged_statistical = 0;    // Wilcoxon rejections only
-  /// Every post-warmup WindowResult, in monitor-creation then trial order
-  /// (only when MultiDetectionConfig::collect_windows; equivalence tests
-  /// compare these sequences element-wise with the reference oracle).
-  std::vector<WindowResult> window_log;
-  /// The same decision stream split per trial, in trial order (filled by
-  /// the trials/sweep entry points under collect_windows). The ROC/TTD
-  /// scorer (detect/roc.hpp) needs per-trial first-crossing times, which
-  /// the flattened window_log loses.
-  std::vector<std::vector<WindowResult>> trial_logs;
-  double detection_rate = 0.0;              // flagged / windows
-  double statistical_rate = 0.0;            // flagged_statistical / windows
-  double measured_rho = 0.0;    // intensity at the (initial) monitor
-  std::uint64_t handoffs = 0;
-  MonitorStats stats;           // aggregated over all monitors
-  /// Summed wall-clock of the aggregated trials (excluded from
-  /// determinism guarantees; everything above is bit-identical for any
-  /// worker count).
-  double wall_seconds = 0.0;
-};
-
-DetectionResult run_detection_experiment(const DetectionConfig& config);
-
-/// Convenience: detection rate aggregated over `runs` independent trials
-/// (trial i uses seed = base_seed + i, the engine's seeding contract).
-/// Trials run across the engine's workers; aggregation happens in trial
-/// order, so the result is bit-identical to a serial run.
-DetectionResult run_detection_trials(const DetectionConfig& config, int runs,
-                                     exp::Engine& engine);
-
-/// Serial convenience overload (a 1-worker engine).
-DetectionResult run_detection_trials(DetectionConfig config, int runs);
-
-// --- Multi-monitor variant ---------------------------------------------------
-//
-// Runs ONE simulation with several Monitor configurations observing the
-// same tagged node side by side (e.g. the four sample sizes of Figure 5).
-// Sharing the run keeps the sweeps affordable and guarantees every
-// configuration saw the identical channel history.
+// A detection run is ONE simulation with one or more Monitor
+// configurations observing the same tagged node side by side (e.g. the
+// four sample sizes of Figure 5). Sharing the run keeps the sweeps
+// affordable and guarantees every configuration saw the identical channel
+// history.
 
 struct MultiDetectionConfig {
   net::ScenarioConfig scenario;
@@ -169,25 +118,55 @@ struct MultiDetectionConfig {
   TraceRecorder* trace = nullptr;
 };
 
+/// One monitor configuration's post-warm-up decisions, summed over every
+/// monitoring node and target (and trial, once aggregated).
+struct DetectionResult {
+  std::uint64_t windows = 0;
+  std::uint64_t flagged = 0;                // statistical OR deterministic
+  std::uint64_t flagged_statistical = 0;    // Wilcoxon rejections only
+  /// Every post-warmup WindowResult, in monitor-creation then trial order
+  /// (only when MultiDetectionConfig::collect_windows; equivalence tests
+  /// compare these sequences element-wise with the reference oracle).
+  std::vector<WindowResult> window_log;
+  /// The same decision stream split per trial, in trial order (filled by
+  /// the trials/sweep entry points under collect_windows). The ROC/TTD
+  /// scorer (detect/roc.hpp) needs per-trial first-crossing times, which
+  /// the flattened window_log loses.
+  std::vector<std::vector<WindowResult>> trial_logs;
+  double detection_rate = 0.0;              // flagged / windows
+  double statistical_rate = 0.0;            // flagged_statistical / windows
+  MonitorStats stats;           // aggregated over all monitors
+};
+
 struct MultiDetectionResult {
   std::vector<DetectionResult> per_config;  // parallel to config.monitors
-  double measured_rho = 0.0;
+  double measured_rho = 0.0;    // intensity at the (initial) monitor
   std::uint64_t handoffs = 0;
   /// Distinct nodes that ran monitors (1, or the neighbor count under
   /// all_pairs; max over trials when aggregated).
   std::uint64_t monitor_nodes = 0;
-  double wall_seconds = 0.0;  // summed over trials; not deterministic
+  /// Wall-clock, summed over trials (excluded from determinism guarantees;
+  /// everything else is bit-identical for any worker count).
+  double wall_seconds = 0.0;
+
+  /// The readout of one monitoring node, shared by live runs and replay:
+  /// views in creation order (config-major, then target), windows closed
+  /// before `warmup` dropped, the rest counted into per_config (and kept
+  /// in window_log under `collect_windows`), every view's stats
+  /// accumulated.
+  void read_out(const MonitoringNode& node, SimTime warmup, bool collect_windows);
+
+  /// Sets every per_config detection_rate and statistical_rate from its
+  /// counters (0 without windows).
+  void compute_rates();
 };
 
 MultiDetectionResult run_multi_detection_experiment(const MultiDetectionConfig& config);
 
-/// Aggregates `runs` independent multi-monitor trials (seed = base + i)
-/// executed across the engine's workers; bit-identical to a serial run.
+/// Aggregates `runs` independent trials (seed = base + i) executed across
+/// the engine's workers; bit-identical to a serial run.
 MultiDetectionResult run_multi_detection_trials(const MultiDetectionConfig& config,
                                                 int runs, exp::Engine& engine);
-
-/// Serial convenience overload (a 1-worker engine).
-MultiDetectionResult run_multi_detection_trials(MultiDetectionConfig config, int runs);
 
 // --- Sweeps ------------------------------------------------------------------
 //

@@ -4,24 +4,26 @@
 
 namespace manet::detect {
 
-/// Member order is the destruction contract: the batch (detaching its
-/// groups) before the hub.
-struct StandaloneNode {
-  ObservationHub hub;
-  MonitorBatch batch;
+void MonitoringNode::watch(const std::vector<MonitorConfig>& configs,
+                           const std::vector<NodeId>& targets) {
+  views_.reserve(views_.size() + configs.size() * targets.size());
+  MonitorFactory factory(batch_);
+  for (const MonitorConfig& config : configs) {
+    for (const NodeId target : targets) views_.push_back(factory.watch(target, config));
+  }
+}
 
-  StandaloneNode(sim::Simulator& simulator, mac::DcfMac& monitor_mac,
-                 phy::CsTimeline& timeline)
-      : hub(simulator, monitor_mac, timeline), batch(hub) {}
-};
+void MonitoringNode::set_active(bool active) {
+  for (auto& view : views_) view->set_active(active);
+}
 
 Monitor::Monitor(MonitorBatch& batch, NodeId tagged, const MonitorConfig& config)
     : batch_(batch), lane_(batch.add_lane(tagged, config)), tagged_(tagged) {}
 
-Monitor::Monitor(std::shared_ptr<StandaloneNode> node, NodeId tagged,
+Monitor::Monitor(std::shared_ptr<MonitoringNode> node, NodeId tagged,
                  const MonitorConfig& config)
     : node_(std::move(node)),
-      batch_(node_->batch),
+      batch_(node_->batch()),
       lane_(batch_.add_lane(tagged, config)),
       tagged_(tagged) {}
 
@@ -80,8 +82,8 @@ const ObservationHub& Monitor::hub() const { return batch_.hub(); }
 
 MonitorFactory::MonitorFactory(sim::Simulator& simulator, mac::DcfMac& monitor_mac,
                                phy::CsTimeline& timeline)
-    : node_(std::make_shared<StandaloneNode>(simulator, monitor_mac, timeline)),
-      batch_(&node_->batch) {}
+    : node_(std::make_shared<MonitoringNode>(simulator, monitor_mac, timeline)),
+      batch_(&node_->batch()) {}
 
 std::unique_ptr<Monitor> MonitorFactory::watch(NodeId tagged) const {
   if (node_) return std::unique_ptr<Monitor>(new Monitor(node_, tagged, config_));

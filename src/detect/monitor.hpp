@@ -32,8 +32,9 @@
 // decoded-frame ring, density estimator, and ARMA tracker; see
 // observation_hub.hpp for the sharing rules), and keeps per-monitor test
 // state in SoA lanes. A Monitor only names its (batch, lane) pair and
-// reads the lane back; MonitorFactory's standalone mode gives the monitors
-// it stamps out a hub and a batch of their own.
+// reads the lane back. A node's hub, batch and monitors together are one
+// MonitoringNode (monitor_batch.hpp); MonitorFactory's standalone mode
+// gives the monitors it stamps out a MonitoringNode of their own.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +54,7 @@
 namespace manet::detect {
 
 class MonitorBatch;  // detect/monitor_batch.hpp
-struct StandaloneNode;  // a standalone MonitorFactory's hub + batch
+class MonitoringNode;  // detect/monitor_batch.hpp
 
 struct MonitorConfig {
   std::size_t sample_size = 10;    // Wilcoxon window (paper: 10/25/50/100)
@@ -286,11 +287,11 @@ class Monitor {
   friend class MonitorFactory;
 
   /// Standalone layout: a lane of `node`'s batch, keeping the node alive.
-  Monitor(std::shared_ptr<StandaloneNode> node, NodeId tagged,
+  Monitor(std::shared_ptr<MonitoringNode> node, NodeId tagged,
           const MonitorConfig& config);
 
   // Declared first so it outlives the lane. Null unless standalone.
-  std::shared_ptr<StandaloneNode> node_;
+  std::shared_ptr<MonitoringNode> node_;
   MonitorBatch& batch_;
   std::size_t lane_;
   NodeId tagged_;
@@ -301,17 +302,17 @@ class Monitor {
 ///
 ///   * Batched mode: every watch() registers a lane in the given
 ///     MonitorBatch (one batch per monitoring node, live or replay).
-///   * Standalone mode: the factory creates an ObservationHub over the
-///     node's MAC/timeline and a MonitorBatch over it; every watch() is a
-///     lane of that batch, and the monitors keep both alive. A timeline
-///     carries at most one hub, so one factory (or copies of it) serves
-///     all standalone monitors of a node.
+///   * Standalone mode: the factory creates a MonitoringNode over the
+///     node's MAC/timeline; every watch() is a lane of its batch, and the
+///     monitors keep the node alive. A timeline carries at most one hub,
+///     so one factory (or copies of it) serves all standalone monitors of
+///     a node.
 class MonitorFactory {
  public:
   /// Batched mode: monitors are lanes of `batch`.
   explicit MonitorFactory(MonitorBatch& batch) : batch_(&batch) {}
 
-  /// Standalone mode: a hub and batch of the factory's own on this node.
+  /// Standalone mode: a MonitoringNode of the factory's own.
   /// Throws std::logic_error when `timeline` already has a hub.
   MonitorFactory(sim::Simulator& simulator, mac::DcfMac& monitor_mac,
                  phy::CsTimeline& timeline);
@@ -333,7 +334,7 @@ class MonitorFactory {
   }
 
  private:
-  std::shared_ptr<StandaloneNode> node_;  // null in batched mode
+  std::shared_ptr<MonitoringNode> node_;  // null in batched mode
   MonitorBatch* batch_ = nullptr;
   MonitorConfig config_;
 };

@@ -257,4 +257,44 @@ class MonitorBatch {
   WilcoxonScratch wilcoxon_scratch_;
 };
 
+/// One monitoring node R: its ObservationHub, one MonitorBatch over it,
+/// and the monitors R runs as lanes of that batch. The live experiment
+/// harness, ReplaySession and a standalone MonitorFactory all build their
+/// node as one of these.
+class MonitoringNode {
+ public:
+  /// Live: the hub observes `monitor_mac` (ObservationHub's live form).
+  MonitoringNode(sim::Simulator& simulator, mac::DcfMac& monitor_mac,
+                 phy::CsTimeline& timeline)
+      : hub_(simulator, monitor_mac, timeline), batch_(hub_) {}
+
+  /// Source-agnostic: observations arrive through hub().consume().
+  MonitoringNode(sim::Simulator& simulator, NodeId self, const mac::DcfParams& params,
+                 phy::CsTimeline& timeline)
+      : hub_(simulator, self, params, timeline), batch_(hub_) {}
+
+  MonitoringNode(const MonitoringNode&) = delete;
+  MonitoringNode& operator=(const MonitoringNode&) = delete;
+
+  /// Adds one monitor per (configuration, target), config-major: view
+  /// ci*T+ti is configuration ci watching target ti.
+  void watch(const std::vector<MonitorConfig>& configs,
+             const std::vector<NodeId>& targets);
+
+  /// Suspends or resumes every view together (the unit a config-group's
+  /// lanes must be toggled in).
+  void set_active(bool active);
+
+  ObservationHub& hub() { return hub_; }
+  MonitorBatch& batch() { return batch_; }
+  const std::vector<std::unique_ptr<Monitor>>& views() const { return views_; }
+
+ private:
+  // Member order is the destruction contract: views first, then the batch
+  // (detaching its groups), then the hub.
+  ObservationHub hub_;
+  MonitorBatch batch_;
+  std::vector<std::unique_ptr<Monitor>> views_;
+};
+
 }  // namespace manet::detect

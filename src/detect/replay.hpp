@@ -2,21 +2,23 @@
 //
 // A ReplaySession reconstructs the monitor node's world from a trace
 // header — a bare simulator advanced to the recording start, a
-// carrier-sense timeline restored from the header snapshot — and runs the
-// SAME Monitor/ObservationHub code the live experiment runs, fed by
-// ObservationHub::consume() walking the decoded trace instead of simulator
-// callbacks. Replayed
-// MonitorStats and window logs are byte-identical to the live run that
-// recorded the trace (tests/trace_test.cpp holds this across static,
-// mobile-handoff, lossy, and attacker scenarios).
+// carrier-sense timeline restored from the header snapshot — and builds
+// the SAME MonitoringNode (hub, batch, monitors) the live experiment
+// builds, fed by ObservationHub::consume() walking the decoded trace
+// instead of simulator callbacks. Replayed MonitorStats and window logs
+// are byte-identical to the live run that recorded the trace
+// (tests/trace_test.cpp holds this across static, mobile-handoff, lossy,
+// and attacker scenarios).
 //
 // replay_detection() is the offline counterpart of
 // run_multi_detection_experiment(): it replays one trace per monitoring
-// node (in recording order, which is monitor-creation order) and
-// aggregates per-config results with the same readout loop. Fields that
-// only the live network can measure (measured_rho) are zero.
+// node (in recording order, which is monitor-creation order) and reads
+// each session's MonitoringNode out with the same
+// MultiDetectionResult::read_out. Fields that only the live network can
+// measure (measured_rho) are zero.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -28,9 +30,9 @@
 
 namespace manet::detect {
 
-/// One monitoring node's offline detection run: hub, timeline, and the
-/// monitors as lanes of one MonitorBatch (config-major, then target order
-/// — exactly the live harness's creation order).
+/// One monitoring node's offline detection run: a timeline and a
+/// MonitoringNode over it, with the monitors in the live harness's
+/// creation order (config-major, then target).
 class ReplaySession {
  public:
   ReplaySession(const TraceHeader& header,
@@ -41,26 +43,22 @@ class ReplaySession {
   /// the clock. May be called with several traces in sequence.
   void run(const MemoryTraceReader& trace);
 
-  const TraceHeader& header() const { return header_; }
-  const std::vector<std::unique_ptr<Monitor>>& views() const { return views_; }
-  sim::Simulator& simulator() { return sim_; }
-  ObservationHub& hub() { return *hub_; }
+  const MonitoringNode& node() const { return *node_; }
+  const std::vector<std::unique_ptr<Monitor>>& views() const { return node_->views(); }
+  /// kActivity suspend markers replayed so far: each is one recorded
+  /// handoff away from this node.
+  std::uint64_t suspends() const { return suspends_; }
 
  private:
-  TraceHeader header_;
   sim::Simulator sim_;
   phy::CsTimeline timeline_;
-  // Declaration order is destruction contract: views (facades) first,
-  // then the batch (detaching its groups), then the hub.
-  std::unique_ptr<ObservationHub> hub_;
-  std::unique_ptr<MonitorBatch> batch_;
-  std::vector<std::unique_ptr<Monitor>> views_;
+  std::unique_ptr<MonitoringNode> node_;
+  std::uint64_t suspends_ = 0;
 };
 
 /// Replays recorded traces (one per monitoring node, in recording order)
-/// against `monitors` and aggregates exactly like the live harness:
-/// windows before `warmup_s` are dropped, per-config counters and stats
-/// accumulate in creation order. `handoffs` is recovered from the
+/// against `monitors` and reads them out with the live harness's readout
+/// (MultiDetectionResult::read_out). `handoffs` is recovered from the
 /// suspend markers in the traces; `measured_rho` (live-only) stays 0.
 MultiDetectionResult replay_detection(
     const std::vector<const MemoryTraceReader*>& traces,

@@ -23,29 +23,6 @@ const char* detector_name(DetectorKind kind) {
   return "?";
 }
 
-SequentialTest::Step CusumTest::update(double deficit) {
-  score_ += deficit - params_.drift;
-  if (score_ < 0.0) score_ = 0.0;
-  return Step{score_ >= params_.threshold, score_};
-}
-
-SprtTest::SprtTest(const SprtParams& params) {
-  const double var = params.sigma * params.sigma;
-  step_gain_ = (params.mean_cheat - params.mean_honest) / var;
-  step_center_ = 0.5 * (params.mean_honest + params.mean_cheat);
-  upper_ = std::log((1.0 - params.beta) / params.alpha);
-  lower_ = std::log(params.beta / (1.0 - params.alpha));
-}
-
-SequentialTest::Step SprtTest::update(double deficit) {
-  llr_ += step_gain_ * (deficit - step_center_);
-  if (llr_ >= upper_) return Step{true, score()};
-  // Accepting H0 restarts the walk: without the restart a long honest
-  // prefix would bank unbounded negative credit and mask a later cheat.
-  if (llr_ <= lower_) llr_ = 0.0;
-  return Step{false, score()};
-}
-
 std::size_t SequentialBank::add(DetectorKind kind, const CusumParams& cusum,
                                 const SprtParams& sprt) {
   if (kind == DetectorKind::kWilcoxon) {
@@ -60,7 +37,8 @@ std::size_t SequentialBank::add(DetectorKind kind, const CusumParams& cusum,
     upper_.push_back(0.0);
     lower_.push_back(0.0);
   } else {
-    // Same coefficient derivation as the SprtTest constructor.
+    // (mu1 - mu0) / sigma^2, (mu0 + mu1) / 2, A = ln((1-beta)/alpha),
+    // B = ln(beta/(1-alpha)).
     const double var = sprt.sigma * sprt.sigma;
     a_.push_back((sprt.mean_cheat - sprt.mean_honest) / var);
     b_.push_back(0.5 * (sprt.mean_honest + sprt.mean_cheat));
@@ -72,35 +50,24 @@ std::size_t SequentialBank::add(DetectorKind kind, const CusumParams& cusum,
 
 SequentialBank::Step SequentialBank::update(std::size_t slot, double deficit) {
   if (kind_[slot] == DetectorKind::kCusum) {
-    // Mirrors CusumTest::update — the compound `+=` keeps the FP grouping
-    // (s + (d - k)) identical to the scalar test.
+    // The compound `+=` keeps the FP grouping s + (d - k).
     double s = state_[slot];
     s += deficit - a_[slot];
     if (s < 0.0) s = 0.0;
     state_[slot] = s;
     return Step{s >= b_[slot], s};
   }
-  // Mirrors SprtTest::update, including the restart-on-accept.
   double llr = state_[slot];
   llr += a_[slot] * (deficit - b_[slot]);
   state_[slot] = llr;
   if (llr >= upper_[slot]) return Step{true, llr > 0.0 ? llr : 0.0};
+  // Accepting H0 restarts the walk: without the restart a long honest
+  // prefix would bank unbounded negative credit and mask a later cheat.
   if (llr <= lower_[slot]) {
     state_[slot] = 0.0;
     llr = 0.0;
   }
   return Step{false, llr > 0.0 ? llr : 0.0};
-}
-
-std::unique_ptr<SequentialTest> make_sequential_test(DetectorKind kind,
-                                                     const CusumParams& cusum,
-                                                     const SprtParams& sprt) {
-  switch (kind) {
-    case DetectorKind::kWilcoxon: return nullptr;
-    case DetectorKind::kCusum: return std::make_unique<CusumTest>(cusum);
-    case DetectorKind::kSprt: return std::make_unique<SprtTest>(sprt);
-  }
-  return nullptr;
 }
 
 }  // namespace manet::detect

@@ -40,7 +40,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,68 +73,18 @@ struct SprtParams {
   double beta = 0.05;   // target miss probability per test
 };
 
-/// One sequential test instance (per monitor; monitors own their score
-/// state just like their Wilcoxon sample buffers).
-class SequentialTest {
+/// Struct-of-arrays bank of sequential detectors: one slot per CUSUM/SPRT
+/// monitor lane, each holding the detector's precomputed coefficients and
+/// running score in flat parallel arrays. The one-object-per-detector
+/// tests in tests/reference_sequential.* are the oracle: a slot's Step
+/// stream is bit-identical to theirs (same compound-assignment grouping).
+/// Slots are independent: update order across slots is unobservable.
+class SequentialBank {
  public:
   struct Step {
     bool flag = false;    // decision threshold crossed on this sample
     double score = 0.0;   // running score after the sample
   };
-
-  virtual ~SequentialTest() = default;
-  /// Absorbs one deficit sample. When `flag` comes back true the caller
-  /// is expected to emit a verdict and reset() for the next epoch.
-  virtual Step update(double deficit) = 0;
-  virtual void reset() = 0;
-  virtual double score() const = 0;
-};
-
-class CusumTest : public SequentialTest {
- public:
-  explicit CusumTest(const CusumParams& params) : params_(params) {}
-  Step update(double deficit) override;
-  void reset() override { score_ = 0.0; }
-  double score() const override { return score_; }
-
- private:
-  CusumParams params_;
-  double score_ = 0.0;
-};
-
-class SprtTest : public SequentialTest {
- public:
-  explicit SprtTest(const SprtParams& params);
-  Step update(double deficit) override;
-  void reset() override { llr_ = 0.0; }
-  /// The clamped LLR: accepts reset the walk, so the reported score never
-  /// goes negative (p_less = exp(-score) stays <= 1).
-  double score() const override { return llr_ > 0.0 ? llr_ : 0.0; }
-
- private:
-  double step_gain_ = 0.0;    // (mu1 - mu0) / sigma^2
-  double step_center_ = 0.0;  // (mu0 + mu1) / 2
-  double upper_ = 0.0;        // A = ln((1-beta)/alpha)
-  double lower_ = 0.0;        // B = ln(beta/(1-alpha))
-  double llr_ = 0.0;
-};
-
-/// Factory for MonitorConfig::detector; returns nullptr for kWilcoxon
-/// (the batch path needs no per-sample state).
-std::unique_ptr<SequentialTest> make_sequential_test(
-    DetectorKind kind, const CusumParams& cusum, const SprtParams& sprt);
-
-/// Struct-of-arrays bank of sequential detectors — the batched pipeline's
-/// replacement for one heap-allocated CusumTest/SprtTest per monitor. Each
-/// slot holds one detector's precomputed coefficients and running score in
-/// flat parallel arrays; update(slot, d) replicates the scalar tests'
-/// arithmetic operation-for-operation (same compound-assignment grouping),
-/// so a bank slot's Step stream is bit-identical to the SequentialTest it
-/// replaces. Slots are independent: update order across slots is
-/// unobservable.
-class SequentialBank {
- public:
-  using Step = SequentialTest::Step;
 
   /// Appends a detector slot and returns its index. kWilcoxon has no
   /// per-sample state and is not a valid slot kind (throws
@@ -143,12 +92,13 @@ class SequentialBank {
   std::size_t add(DetectorKind kind, const CusumParams& cusum,
                   const SprtParams& sprt);
 
-  /// Absorbs one deficit sample into `slot` (CusumTest::update /
-  /// SprtTest::update semantics, including the SPRT restart-on-accept).
+  /// Absorbs one deficit sample into `slot`: CUSUM S <- max(0, S + d -
+  /// drift), or the SPRT walk with its restart-on-accept. When `flag`
+  /// comes back true the caller emits a verdict and resets the slot.
   Step update(std::size_t slot, double deficit);
 
   void reset(std::size_t slot) { state_[slot] = 0.0; }
-  /// The clamped running score (both scalar tests report max(score, 0)).
+  /// The clamped running score, max(score, 0).
   double score(std::size_t slot) const {
     return state_[slot] > 0.0 ? state_[slot] : 0.0;
   }

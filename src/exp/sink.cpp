@@ -64,24 +64,33 @@ Record& Record::add(const std::string& key, const std::string& value) {
 
 namespace {
 
-/// Renders one value as a JSON literal.
-std::string render_value(const Record::Value& value) {
+/// Appends one value to `out` as a JSON literal.
+void append_value(std::string& out, const Record::Value& value) {
   switch (value.index()) {
     case 0: {
       const double d = std::get<double>(value);
-      if (!std::isfinite(d)) return "null";  // JSON has no NaN/Inf
+      if (!std::isfinite(d)) {
+        out += "null";  // JSON has no NaN/Inf
+        return;
+      }
       char buf[64];
       std::snprintf(buf, sizeof buf, "%.17g", d);
-      return buf;
+      out += buf;
+      return;
     }
     case 1:
-      return std::to_string(std::get<std::int64_t>(value));
+      out += std::to_string(std::get<std::int64_t>(value));
+      return;
     case 2:
-      return std::to_string(std::get<std::uint64_t>(value));
+      out += std::to_string(std::get<std::uint64_t>(value));
+      return;
     case 3:
-      return std::get<bool>(value) ? "true" : "false";
+      out += std::get<bool>(value) ? "true" : "false";
+      return;
     default:
-      return "\"" + json_escape(std::get<std::string>(value)) + "\"";
+      out += '"';
+      out += json_escape(std::get<std::string>(value));
+      out += '"';
   }
 }
 
@@ -91,10 +100,12 @@ std::string Record::to_json() const {
   std::string out = "{";
   for (std::size_t i = 0; i < fields_.size(); ++i) {
     if (i != 0) out += ", ";
-    out += "\"" + json_escape(fields_[i].key) + "\": " +
-           render_value(fields_[i].value);
+    out += '"';
+    out += json_escape(fields_[i].key);
+    out += "\": ";
+    append_value(out, fields_[i].value);
   }
-  out += "}";
+  out += '}';
   return out;
 }
 

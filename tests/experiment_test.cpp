@@ -51,8 +51,9 @@ TEST(Experiment, TrialsAggregateAcrossSeeds) {
   cfg.pm = 60;
   cfg.monitors = {small_monitor()};
 
+  exp::Engine serial(1);
   const auto one = run_multi_detection_experiment(cfg);
-  const auto three = run_multi_detection_trials(cfg, 3);
+  const auto three = run_multi_detection_trials(cfg, 3, serial);
   EXPECT_GT(three.per_config[0].windows, one.per_config[0].windows);
   EXPECT_GE(three.per_config[0].windows, 2 * one.per_config[0].windows / 2);
   // First trial is seed-identical to the single run.
@@ -187,11 +188,11 @@ TEST(Experiment, SweepMatchesPerPointTrials) {
     points.push_back(p);
   }
 
-  exp::Engine engine(3);
+  exp::Engine engine(3), serial(1);
   const auto swept = run_multi_detection_sweep(points, 2, engine);
   ASSERT_EQ(swept.size(), 2u);
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto lone = run_multi_detection_trials(points[i], 2);
+    const auto lone = run_multi_detection_trials(points[i], 2, serial);
     EXPECT_EQ(swept[i].per_config[0].windows, lone.per_config[0].windows);
     EXPECT_EQ(swept[i].per_config[0].flagged, lone.per_config[0].flagged);
     EXPECT_EQ(swept[i].measured_rho, lone.measured_rho);

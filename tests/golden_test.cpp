@@ -257,7 +257,8 @@ TEST(Golden, Fig6) {
     m.fixed_contenders = 20.0;
     cfg.monitors.push_back(m);
   }
-  const MultiDetectionResult r = run_multi_detection_trials(cfg, 2);
+  exp::Engine serial(1);
+  const MultiDetectionResult r = run_multi_detection_trials(cfg, 2, serial);
   std::string out;
   append_double(out, "rho", r.measured_rho);
   append(out, "monitor_nodes", r.monitor_nodes);
@@ -305,11 +306,12 @@ TEST(Golden, Roc) {
     return cfg;
   };
   const MultiDetectionConfig honest_cfg = make_point("honest");
-  const MultiDetectionResult honest = run_multi_detection_trials(honest_cfg, 2);
+  exp::Engine serial(1);
+  const MultiDetectionResult honest = run_multi_detection_trials(honest_cfg, 2, serial);
   std::string out;
   for (const char* attacker : {"pm50", "colluding"}) {
     const MultiDetectionResult attack =
-        run_multi_detection_trials(make_point(attacker), 2);
+        run_multi_detection_trials(make_point(attacker), 2, serial);
     for (std::size_t ci = 0; ci < detectors.size(); ++ci) {
       out += attacker;
       out += ' ';

@@ -143,7 +143,8 @@ TEST(HubEquivalence, SybilMultiIdentityBitIdentical) {
 
 TEST(HubEquivalence, SequentialDetectorsBitIdentical) {
   // CUSUM/SPRT lanes run through the batched SequentialBank; their Step
-  // streams must match the reference's CusumTest/SprtTest bit for bit.
+  // streams must match the reference's CusumTest/SprtTest bit for bit
+  // (tests/reference_sequential.*).
   MultiDetectionConfig cfg = base_config(30, 53);
   MonitorConfig cusum = small_monitor(10);
   cusum.detector = DetectorKind::kCusum;

@@ -3,7 +3,10 @@
 // (short runs, fixed seeds) so the suite stays fast.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "detect/experiment.hpp"
+#include "exp/engine.hpp"
 #include "net/load.hpp"
 
 namespace manet::detect {
@@ -25,49 +28,52 @@ MonitorConfig grid_monitor(std::size_t sample_size = 10) {
   return m;
 }
 
-TEST(Integration, GridScenarioCarriesTraffic) {
-  DetectionConfig cfg;
-  cfg.scenario = fast_grid(20);
+/// One tagged node watched by one monitor configuration at 15 pkt/s.
+MultiDetectionConfig grid_point(double sim_seconds, double pm,
+                                const MonitorConfig& monitor) {
+  MultiDetectionConfig cfg;
+  cfg.scenario = fast_grid(sim_seconds);
   cfg.rate_pps = 15;
-  cfg.monitor = grid_monitor();
-  const DetectionResult r = run_detection_experiment(cfg);
+  cfg.pm = pm;
+  cfg.monitors = {monitor};
+  return cfg;
+}
+
+DetectionResult run_once(const MultiDetectionConfig& cfg) {
+  return run_multi_detection_experiment(cfg).per_config.at(0);
+}
+
+DetectionResult run_trials(const MultiDetectionConfig& cfg, int runs) {
+  exp::Engine serial(1);
+  return run_multi_detection_trials(cfg, runs, serial).per_config.at(0);
+}
+
+TEST(Integration, GridScenarioCarriesTraffic) {
+  const MultiDetectionResult result =
+      run_multi_detection_experiment(grid_point(20, 0, grid_monitor()));
+  const DetectionResult& r = result.per_config.at(0);
   EXPECT_GT(r.stats.rts_observed, 50u);
   EXPECT_GT(r.stats.samples, 20u);
-  EXPECT_GT(r.measured_rho, 0.02);
-  EXPECT_LT(r.measured_rho, 0.98);
+  EXPECT_GT(result.measured_rho, 0.02);
+  EXPECT_LT(result.measured_rho, 0.98);
 }
 
 TEST(Integration, HonestNetworkHasLowFalseAlarmRate) {
-  DetectionConfig cfg;
-  cfg.scenario = fast_grid(60);
-  cfg.rate_pps = 15;
-  cfg.pm = 0;
-  cfg.monitor = grid_monitor(10);
-  const DetectionResult r = run_detection_trials(cfg, 3);
+  const DetectionResult r = run_trials(grid_point(60, 0, grid_monitor(10)), 3);
   ASSERT_GT(r.windows, 20u);
   // Paper: misdiagnosis < 1%. Allow slack for the small trial count.
   EXPECT_LT(r.detection_rate, 0.05);
 }
 
 TEST(Integration, HeavyMisbehaviorIsDetectedReliably) {
-  DetectionConfig cfg;
-  cfg.scenario = fast_grid(40);
-  cfg.rate_pps = 15;
-  cfg.pm = 90;
-  cfg.monitor = grid_monitor(10);
-  const DetectionResult r = run_detection_experiment(cfg);
+  const DetectionResult r = run_once(grid_point(40, 90, grid_monitor(10)));
   ASSERT_GT(r.windows, 10u);
   EXPECT_GT(r.detection_rate, 0.75);
 }
 
 TEST(Integration, DetectionProbabilityIncreasesWithMisbehavior) {
   auto rate_for = [](double pm) {
-    DetectionConfig cfg;
-    cfg.scenario = fast_grid(40);
-    cfg.rate_pps = 15;
-    cfg.pm = pm;
-    cfg.monitor = grid_monitor(10);
-    const DetectionResult r = run_detection_experiment(cfg);
+    const DetectionResult r = run_once(grid_point(40, pm, grid_monitor(10)));
     return r.windows ? r.detection_rate : -1.0;
   };
   const double low = rate_for(20);
@@ -80,12 +86,7 @@ TEST(Integration, DetectionProbabilityIncreasesWithMisbehavior) {
 
 TEST(Integration, LargerSampleSizeDetectsSubtlerMisbehavior) {
   auto rate_for = [](std::size_t ss) {
-    DetectionConfig cfg;
-    cfg.scenario = fast_grid(90);
-    cfg.rate_pps = 15;
-    cfg.pm = 50;
-    cfg.monitor = grid_monitor(ss);
-    const DetectionResult r = run_detection_trials(cfg, 2);
+    const DetectionResult r = run_trials(grid_point(90, 50, grid_monitor(ss)), 2);
     return r.windows ? r.detection_rate : -1.0;
   };
   const double small = rate_for(10);
@@ -131,41 +132,28 @@ TEST(Integration, CondProbBusyGivenIdleGrowsWithLoad) {
 }
 
 TEST(Integration, MobileScenarioStillDetects) {
-  DetectionConfig cfg;
-  cfg.scenario = fast_grid(60);
+  MultiDetectionConfig cfg = grid_point(60, 90, grid_monitor(10));
   cfg.scenario.mobility = net::MobilityKind::kRandomWaypoint;
   cfg.scenario.max_speed_mps = 20;
-  cfg.rate_pps = 15;
-  cfg.pm = 90;
-  cfg.monitor = grid_monitor(10);
   cfg.mobile_handoff = true;
-  const DetectionResult r = run_detection_experiment(cfg);
+  const DetectionResult r = run_once(cfg);
   ASSERT_GT(r.windows, 3u);
   EXPECT_GT(r.detection_rate, 0.6);
 }
 
 TEST(Integration, RandomTopologyScenarioRuns) {
-  DetectionConfig cfg;
-  cfg.scenario = fast_grid(20);
-  cfg.scenario.topology = net::TopologyKind::kRandom;
-  cfg.scenario.traffic = net::TrafficKind::kCbr;
-  cfg.rate_pps = 15;
-  cfg.pm = 0;
   MonitorConfig m;  // density-estimated counts for random layouts
   m.sample_size = 10;
-  cfg.monitor = m;
-  const DetectionResult r = run_detection_experiment(cfg);
+  MultiDetectionConfig cfg = grid_point(20, 0, m);
+  cfg.scenario.topology = net::TopologyKind::kRandom;
+  cfg.scenario.traffic = net::TrafficKind::kCbr;
+  const DetectionResult r = run_once(cfg);
   EXPECT_GT(r.stats.rts_observed, 10u);
 }
 
 TEST(Integration, DeterministicAcrossRuns) {
   auto run = [] {
-    DetectionConfig cfg;
-    cfg.scenario = fast_grid(20);
-    cfg.rate_pps = 15;
-    cfg.pm = 40;
-    cfg.monitor = grid_monitor(10);
-    const DetectionResult r = run_detection_experiment(cfg);
+    const DetectionResult r = run_once(grid_point(20, 40, grid_monitor(10)));
     return std::make_tuple(r.windows, r.flagged, r.stats.samples);
   };
   EXPECT_EQ(run(), run());

@@ -477,16 +477,7 @@ MultiDetectionResult reference_replay(const TraceRecorder& recorder,
       }
     }
   }
-  for (DetectionResult& out : result.per_config) {
-    out.detection_rate = out.windows ? static_cast<double>(out.flagged) /
-                                           static_cast<double>(out.windows)
-                                     : 0.0;
-    out.statistical_rate =
-        out.windows ? static_cast<double>(out.flagged_statistical) /
-                          static_cast<double>(out.windows)
-                    : 0.0;
-    out.handoffs = result.handoffs;
-  }
+  result.compute_rates();
   return result;
 }
 

@@ -24,11 +24,11 @@
 #include "detect/experiment.hpp"
 #include "detect/monitor.hpp"
 #include "detect/observation_hub.hpp"
-#include "detect/sequential.hpp"
 #include "detect/system_state.hpp"
 #include "detect/trace.hpp"
 #include "detect/wilcoxon.hpp"
 #include "mac/backoff.hpp"
+#include "reference_sequential.hpp"
 
 namespace manet::detect {
 

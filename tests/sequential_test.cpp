@@ -1,4 +1,5 @@
-// The sequential detector family (src/detect/sequential.*): CUSUM and
+// The sequential detector family (src/detect/sequential.*, with the
+// one-object-per-detector oracle in reference_sequential.*): CUSUM and
 // SPRT score dynamics, the factory/name mapping, and the Monitor
 // integration — sequential detectors must flag a blatant cheat faster
 // than the Wilcoxon batch (windows of evidence, not a fixed batch) while
@@ -10,6 +11,7 @@
 #include "detect/experiment.hpp"
 #include "detect/monitor.hpp"
 #include "detect/sequential.hpp"
+#include "reference_sequential.hpp"
 #include "util/config.hpp"
 
 namespace manet::detect {
