@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification: plain build + tests and the artifact determinism
-# gates, a warning-free Release (-O3, IPO) build, then the same suite
+# gates, a warning-free Release (-O3, IPO) build that also checks the
+# result digests, then the same suite
 # under AddressSanitizer + UBSan
 # (-DMANET_SANITIZE=ON), then a multi-threaded short-sweep bench smoke
 # under the sanitizers (races / UB in the experiment engine's parallel
@@ -88,6 +89,10 @@ echo "== Release build (bench preset: -O3, IPO) =="
 # across calls, so the optimized tree passes the same warning gate.
 cmake --preset bench >/dev/null
 build_without_warnings build-bench
+# The benchmark times this optimization level, so the result digests and
+# the replay and hub equivalences must hold in it too.
+ctest --test-dir build-bench --output-on-failure -j "$jobs" \
+    -R 'Golden|TraceReplay|HubEquivalence'
 
 echo "== ASan + UBSan build =="
 # A build-asan dir configured without sanitizers (e.g. a copied plain build)

@@ -289,14 +289,14 @@ MultiDetectionResult run_multi_detection_experiment(const MultiDetectionConfig& 
     flooder->start(0, stop);
   }
 
-  const NodeId initial_r = r;
-
   // Long-horizon traffic intensity at the initial monitor: snapshot the
   // cumulative busy counter at warm-up (windowed timeline queries cannot
-  // span a whole 300 s run because history is pruned).
+  // span a whole 300 s run because history is pruned). Asked for before
+  // the run, so the timeline records from t=0.
+  const phy::CsTimeline& rho_timeline = net.timeline(r);
   SimDuration busy_at_warmup = 0;
-  net.simulator().at(warmup, [&, initial_r] {
-    busy_at_warmup = net.timeline(initial_r).cumulative_busy(warmup);
+  net.simulator().at(warmup, [&] {
+    busy_at_warmup = rho_timeline.cumulative_busy(warmup);
   });
 
   // Must outlive run_until: the rescheduling lambda captures it by reference.
@@ -337,7 +337,7 @@ MultiDetectionResult run_multi_detection_experiment(const MultiDetectionConfig& 
   }
   result.measured_rho =
       stop > warmup
-          ? static_cast<double>(net.timeline(initial_r).cumulative_busy(stop) -
+          ? static_cast<double>(rho_timeline.cumulative_busy(stop) -
                                 busy_at_warmup) /
                 static_cast<double>(stop - warmup)
           : 0.0;

@@ -4,6 +4,7 @@
 #include <sys/file.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -71,6 +72,36 @@ std::string describe(const net::CalibrationResult& r) {
   std::snprintf(buf, sizeof buf, "measured busy fraction %.3f%s",
                 r.measured_busy_fraction, r.saturated ? ", saturated" : "");
   return buf;
+}
+
+/// Reads one cache line into `result` when it stores `fingerprint` at
+/// `load_text`. A line counts only when it is exactly "<fingerprint>
+/// <load> <rate> <busy> <saturated>" with a finite rate > 0, a busy
+/// fraction in [0, 1] and a 0/1 flag. Any other line is skipped, so its
+/// load is calibrated afresh.
+bool parse_entry(const std::string& line, const std::string& fingerprint,
+                 const std::string& load_text, net::CalibrationResult* result) {
+  std::istringstream fields(line);
+  std::string fp, load, rate_text, busy_text, flag;
+  if (!(fields >> fp >> load >> rate_text >> busy_text >> flag) ||
+      !(fields >> std::ws).eof() || fp != fingerprint || load != load_text ||
+      (flag != "0" && flag != "1")) {
+    return false;
+  }
+  const auto number = [](const std::string& text, double* out) {
+    char* end = nullptr;
+    *out = std::strtod(text.c_str(), &end);
+    return end == text.c_str() + text.size();
+  };
+  double rate = 0.0, busy = 0.0;
+  if (!number(rate_text, &rate) || !std::isfinite(rate) || !(rate > 0.0) ||
+      !number(busy_text, &busy) || !(busy >= 0.0 && busy <= 1.0)) {
+    return false;
+  }
+  *result = {.packets_per_second = rate,
+             .measured_busy_fraction = busy,
+             .saturated = flag == "1"};
+  return true;
 }
 
 /// The flow layout every detection bench calibrates against: one flow at
@@ -181,20 +212,9 @@ bool RateCache::file_lookup(double load, net::CalibrationResult* result) const {
   std::ifstream in(cache_file_);
   if (!in) return false;
   const std::string want_load = format_load(load);
-  std::string fp, load_text;
-  double rate = 0.0, busy = 0.0;
-  int saturated = 0;
   std::string line;
   while (std::getline(in, line)) {
-    std::istringstream fields(line);
-    if (!(fields >> fp >> load_text >> rate >> busy >> saturated)) continue;
-    if (fp == fingerprint_ && load_text == want_load &&
-        (saturated == 0 || saturated == 1)) {
-      *result = {.packets_per_second = rate,
-                 .measured_busy_fraction = busy,
-                 .saturated = saturated == 1};
-      return true;
-    }
+    if (parse_entry(line, fingerprint_, want_load, result)) return true;
   }
   return false;
 }
@@ -209,13 +229,14 @@ void RateCache::file_store(double load, const net::CalibrationResult& result) co
   char buf[96];
   std::snprintf(buf, sizeof buf, "%.17g %.17g %d", result.packets_per_second,
                 result.measured_busy_fraction, result.saturated ? 1 : 0);
-  const std::string key_prefix = fingerprint_ + " " + format_load(load) + " ";
-  const std::string entry = key_prefix + buf + "\n";
+  const std::string load_text = format_load(load);
+  const std::string entry = fingerprint_ + " " + load_text + " " + buf + "\n";
   atomic_file_update(cache_file_, [&](const std::string& current) {
     std::istringstream in(current);
     std::string line;
+    net::CalibrationResult stored;
     while (std::getline(in, line)) {
-      if (line.compare(0, key_prefix.size(), key_prefix) == 0) {
+      if (parse_entry(line, fingerprint_, load_text, &stored)) {
         return current;  // another process stored this load first
       }
     }

@@ -90,8 +90,9 @@ double measure_busy_fraction(const ScenarioConfig& config, double packets_per_se
   const SimTime stop = seconds_to_time(cfg.sim_seconds);
   net.start_traffic(0, stop);
   const SimTime measure_from = seconds_to_time(warmup_s);
+  const phy::CsTimeline& timeline = net.timeline(probe);  // records from t=0
   net.run_until(stop);
-  return net.timeline(probe).busy_fraction(measure_from, stop);
+  return timeline.busy_fraction(measure_from, stop);
 }
 
 CalibrationResult calibrate_load(const ScenarioConfig& config, double target,

@@ -64,13 +64,10 @@ Network::Network(const ScenarioConfig& config)
                                                     util::mix64(config_.seed ^ 0x5AADu));
   channel_ = std::make_unique<phy::Channel>(sim_, *propagation_, *mobility_);
   channel_->set_index_mode(phy::Channel::parse_index_mode(config_.channel_index));
-  const SimDuration timeline_retention =
-      seconds_to_time(config_.timeline_retention_s);
   nodes_.reserve(layout.size());
   for (std::size_t i = 0; i < layout.size(); ++i) {
-    nodes_.push_back(std::make_unique<Node>(
-        static_cast<NodeId>(i), sim_, *channel_, config_.mac,
-        timeline_retention, config_.timeline_max_transitions));
+    nodes_.push_back(std::make_unique<Node>(static_cast<NodeId>(i), sim_,
+                                            *channel_, config_.mac));
   }
   has_flow_.assign(nodes_.size(), false);
 
@@ -94,6 +91,17 @@ Network::Network(const ScenarioConfig& config)
       routers_.push_back(std::make_unique<AodvRouter>(sim_, node->mac));
     }
   }
+}
+
+phy::CsTimeline& Network::timeline(NodeId id) {
+  Node& node = *nodes_.at(id);
+  if (!node.timeline) {
+    node.timeline = std::make_unique<phy::CsTimeline>(
+        seconds_to_time(config_.timeline_retention_s),
+        config_.timeline_max_transitions);
+    node.timeline->follow(node.radio, sim_.now());
+  }
+  return *node.timeline;
 }
 
 PacketSink& Network::sink(NodeId id) {

@@ -1,6 +1,9 @@
 // Network: assembles a complete simulated ad hoc network from a
 // ScenarioConfig — simulator, propagation, channel, mobility, one radio +
-// DCF MAC + carrier-sense timeline per node, and the traffic flows.
+// DCF MAC per node, and the traffic flows. A node records its
+// carrier-sense timeline only once something asks for it (timeline()):
+// monitors and the calibration probe read a handful of nodes, so the
+// rest pay nothing per carrier edge.
 //
 // This is the substrate every experiment runs on; the detection framework
 // (src/detect) attaches to it from outside via MAC observers and radio
@@ -23,25 +26,19 @@
 
 namespace manet::net {
 
-/// One station: radio + MAC + the CS timeline monitors read.
+/// One station: radio + MAC, and the CS timeline monitors read once
+/// Network::timeline has asked for it.
 struct Node {
   Node(NodeId id, sim::Simulator& sim, phy::Channel& channel,
-       const mac::DcfParams& params,
-       SimDuration timeline_retention = 10 * kSecond,
-       std::size_t timeline_max_transitions =
-           phy::CsTimeline::kDefaultMaxTransitions)
-      : radio(id, channel),
-        mac(sim, radio, params),
-        timeline(timeline_retention, timeline_max_transitions) {
-    radio.add_listener(&timeline);
-  }
+       const mac::DcfParams& params)
+      : radio(id, channel), mac(sim, radio, params) {}
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
   phy::Radio radio;
   mac::DcfMac mac;
-  phy::CsTimeline timeline;
+  std::unique_ptr<phy::CsTimeline> timeline;  // null until first asked for
 };
 
 class Network {
@@ -57,7 +54,13 @@ class Network {
   const Node& node(NodeId id) const { return *nodes_.at(id); }
   mac::DcfMac& mac(NodeId id) { return nodes_.at(id)->mac; }
   phy::Radio& radio(NodeId id) { return nodes_.at(id)->radio; }
-  phy::CsTimeline& timeline(NodeId id) { return nodes_.at(id)->timeline; }
+
+  /// The node's carrier-sense timeline. The first call creates it and
+  /// starts it recording from the radio's state at now() (CsTimeline::
+  /// follow): history before that reads as idle air, so ask before the
+  /// span you query, and before registering any radio listener that must
+  /// see edges after the timeline does. Later calls return the same one.
+  phy::CsTimeline& timeline(NodeId id);
 
   /// The node's AODV router (null unless config.routing == kAodv). With
   /// routing enabled the router owns the MAC's listener slot.

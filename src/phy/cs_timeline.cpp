@@ -5,6 +5,13 @@
 
 namespace manet::phy {
 
+void CsTimeline::follow(Radio& radio, SimTime now) {
+  assert(transitions_.empty() && !current_busy_ && !in_outage_);
+  if (radio.in_outage()) on_outage(true, now);
+  if (radio.carrier_busy()) on_carrier(true, now);
+  radio.add_listener(this);
+}
+
 void CsTimeline::on_carrier(bool busy, SimTime at) {
   assert(transitions_.empty() || at >= transitions_.back().at);
   if (busy == current_busy_) return;

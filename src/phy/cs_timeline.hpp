@@ -86,8 +86,12 @@ class CsTimeline : public RadioListener {
         max_transitions_(std::max<std::size_t>(max_transitions, 2)),
         max_outages_(std::max<std::size_t>(max_outages, 1)) {}
 
-  /// Attach to a radio: radio.add_listener(&timeline). Initial state is
-  /// idle at time 0.
+  /// Starts this fresh timeline recording `radio` at `now` and registers
+  /// it as the radio's listener. A busy or deaf radio starts the timeline
+  /// in that state at `now`, as if it had seen that edge; history before
+  /// `now` reads as idle air. (A timeline attached with
+  /// radio.add_listener(&timeline) before t=0 starts idle at time 0.)
+  void follow(Radio& radio, SimTime now);
 
   // RadioListener:
   void on_carrier(bool busy, SimTime at) override;

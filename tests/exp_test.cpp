@@ -26,6 +26,7 @@
 #include "exp/sweep.hpp"
 #include "exp/thread_pool.hpp"
 #include "util/crc32.hpp"
+#include "util/rng.hpp"
 
 namespace manet::exp {
 namespace {
@@ -652,6 +653,154 @@ TEST(RateCache, IgnoresVersion2CacheLines) {
 
   EXPECT_EQ(RateCache(scenario, path, calibrator(64.0, &probes)).rate_for(0.9), 64.0);
   EXPECT_EQ(probes, 2);  // the v2 line was not taken
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
+}
+
+/// A calibrator that counts its calls: a lookup that probes missed the
+/// file, one that does not hit it.
+RateCache::Calibrator counting_calibrator(int* probes) {
+  return [probes](const net::ScenarioConfig&, double load) {
+    ++*probes;
+    net::CalibrationResult r;
+    r.packets_per_second = 100.0 * load + 0.25;
+    r.measured_busy_fraction = load - 0.05;
+    r.saturated = load > 0.8;
+    return r;
+  };
+}
+
+/// Writes a cache file holding loads 0.3, 0.6 and 0.9 of `scenario` plus
+/// one entry of another scenario, and returns its bytes.
+std::string write_cache(const std::string& path, const net::ScenarioConfig& scenario) {
+  std::remove(path.c_str());
+  int probes = 0;
+  RateCache cache(scenario, path, counting_calibrator(&probes));
+  for (const double load : {0.3, 0.6, 0.9}) cache.calibration_for(load);
+  net::ScenarioConfig other = scenario;
+  other.seed += 1;
+  RateCache(other, path, counting_calibrator(&probes)).calibration_for(0.6);
+  return slurp(path);
+}
+
+TEST(RateCache, SkipsOutOfRangeValuesAndTrailingText) {
+  const std::string path = temp_path("hostile_fields.cache");
+  const net::ScenarioConfig scenario;
+  const std::string good = write_cache(path, scenario);
+  // The 0.6 entry is the second line; its fields 2, 3, 4 are the rate, the
+  // busy fraction and the saturated flag.
+  const std::size_t line_start = good.find('\n') + 1;
+  const std::size_t line_end = good.find('\n', line_start);
+  std::vector<std::string> fields;
+  std::istringstream in(good.substr(line_start, line_end - line_start));
+  for (std::string f; in >> f;) fields.push_back(f);
+  ASSERT_EQ(fields.size(), 5u);
+  const std::vector<std::pair<std::size_t, std::vector<std::string>>> hostile = {
+      {2, {"-5", "0", "-0", "nan", "inf", "-inf", "1e400", "1x", "", "1 extra"}},
+      {3, {"1.7", "-0.1", "nan", "inf", "0.5x", "1.0000001"}},
+      {4, {"2", "-1", "1x", "1 extra", "0 0", "01", "true"}},
+  };
+  for (const auto& [field, values] : hostile) {
+    for (const std::string& value : values) {
+      SCOPED_TRACE("field " + std::to_string(field) + " = '" + value + "'");
+      std::vector<std::string> line = fields;
+      line[field] = value;
+      std::string text;
+      for (const std::string& f : line) text += (text.empty() ? "" : " ") + f;
+      spit(path, good.substr(0, line_start) + text + good.substr(line_end));
+      int probes = 0;
+      RateCache cache(scenario, path, counting_calibrator(&probes));
+      EXPECT_EQ(cache.calibration_for(0.3).probe_runs, 0);
+      EXPECT_EQ(probes, 0);  // the untouched entries still hit
+      cache.calibration_for(0.6);
+      EXPECT_EQ(probes, 1);  // the rewritten one was skipped
+      // The fresh calibration was stored, and the next reader takes it.
+      int reread = 0;
+      EXPECT_EQ(RateCache(scenario, path, counting_calibrator(&reread)).rate_for(0.6),
+                60.25);
+      EXPECT_EQ(reread, 0);
+    }
+  }
+  // Boundary values a real calibration can produce are taken.
+  for (const auto& [busy, flag] : {std::pair{"0", "0"}, std::pair{"1", "1"}}) {
+    std::vector<std::string> line = fields;
+    line[3] = busy;
+    line[4] = flag;
+    std::string text;
+    for (const std::string& f : line) text += (text.empty() ? "" : " ") + f;
+    spit(path, good.substr(0, line_start) + text + " \r" + good.substr(line_end));
+    int probes = 0;
+    const net::CalibrationResult got =
+        RateCache(scenario, path, counting_calibrator(&probes)).calibration_for(0.6);
+    EXPECT_EQ(probes, 0) << busy;
+    EXPECT_EQ(got.measured_busy_fraction, std::stod(busy));
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
+}
+
+// Seeded mutation fuzzing of the rate-cache reader over a real cache
+// file. Every mutant (bit flips, cuts, and one whitespace-separated field
+// rewritten to a hostile value) must either hit with a valid calibration
+// (finite rate > 0, busy fraction in [0, 1]) or miss and calibrate; none
+// may throw or crash. The seed and budget are constants, so the test is
+// deterministic.
+TEST(RateCache, MutatedCacheFilesHitValidOrMiss) {
+  constexpr std::uint64_t kSeed = 0x7261746563616368ULL;
+  constexpr int kMutants = 1500;
+  const std::string path = temp_path("fuzz.cache");
+  const net::ScenarioConfig scenario;
+  const std::string corpus = write_cache(path, scenario);
+  ASSERT_EQ(std::count(corpus.begin(), corpus.end(), '\n'), 4);
+  const std::vector<std::string> hostile = {
+      "-5", "0", "-0", "1.7", "-0.1", "nan", "inf", "1e400", "1x", "1 extra",
+      "", "2", "0x10", "0.5", "1", "\t", "v3|", "0.59999999999999998"};
+
+  util::Xoshiro256ss rng(kSeed);
+  int hits = 0, misses = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string mutant = corpus;
+    switch (rng.uniform_int(3)) {
+      case 0:
+        for (auto n = 1 + rng.uniform_int(3); n > 0; --n) {
+          mutant[rng.uniform_int(mutant.size())] ^=
+              static_cast<char>(1u << rng.uniform_int(8));
+        }
+        break;
+      case 1:
+        mutant.resize(rng.uniform_int(mutant.size()));
+        break;
+      default: {
+        std::vector<std::pair<std::size_t, std::size_t>> spans;  // (start, length)
+        for (std::size_t at = 0; at < mutant.size();) {
+          const std::size_t end = mutant.find_first_of(" \n", at);
+          const std::size_t stop = end == std::string::npos ? mutant.size() : end;
+          if (stop > at) spans.emplace_back(at, stop - at);
+          at = stop + 1;
+        }
+        const auto [start, length] = spans[rng.uniform_int(spans.size())];
+        mutant.replace(start, length, hostile[rng.uniform_int(hostile.size())]);
+      }
+    }
+    spit(path, mutant);
+    int probes = 0;
+    RateCache cache(scenario, path, counting_calibrator(&probes));
+    for (const double load : {0.3, 0.6, 0.9}) {
+      const int before = probes;
+      const net::CalibrationResult& got = cache.calibration_for(load);
+      if (probes > before) {
+        ++misses;
+        continue;
+      }
+      ++hits;
+      EXPECT_TRUE(std::isfinite(got.packets_per_second) && got.packets_per_second > 0)
+          << "mutant " << i << " load " << load << ": " << got.packets_per_second;
+      EXPECT_TRUE(got.measured_busy_fraction >= 0 && got.measured_busy_fraction <= 1)
+          << "mutant " << i << " load " << load << ": " << got.measured_busy_fraction;
+    }
+  }
+  EXPECT_GT(hits, kMutants);  // most mutants leave most entries intact
+  EXPECT_GT(misses, kMutants / 4);
   std::remove(path.c_str());
   std::remove((path + ".lock").c_str());
 }

@@ -207,13 +207,92 @@ TEST(Network, TrafficFlowsEndToEnd) {
   net.add_flow(4, 1, 50);  // center -> top, 50 pkt/s
   const SimTime stop = seconds_to_time(5);
   net.start_traffic(0, stop);
+  const phy::CsTimeline& receiver = net.timeline(1);  // records from t=0
   net.run_until(stop);
   EXPECT_GT(net.mac(1).stats().packets_delivered, 100u);
   EXPECT_EQ(net.mac(4).stats().retry_drops, 0u);
   // Busy fraction at the receiver is sane and nonzero.
-  const double busy = net.timeline(1).busy_fraction(0, stop);
+  const double busy = receiver.busy_fraction(0, stop);
   EXPECT_GT(busy, 0.05);
   EXPECT_LT(busy, 0.9);
+}
+
+// Nodes nobody asks pay nothing per carrier edge: a run with traffic
+// leaves every node without a timeline, and asking creates one, once.
+TEST(Network, NoNodeRecordsUntilAsked) {
+  Network net(small_grid());
+  net.build_random_flows();
+  const SimTime stop = seconds_to_time(2);
+  net.start_traffic(0, stop);
+  net.run_until(stop);
+  ASSERT_GT(net.channel().transmissions(), 0u);
+  const auto recording = [&net] {
+    std::vector<NodeId> nodes;
+    for (NodeId i = 0; i < net.size(); ++i) {
+      if (net.node(i).timeline) nodes.push_back(i);
+    }
+    return nodes;
+  };
+  EXPECT_TRUE(recording().empty());
+  const phy::CsTimeline& asked = net.timeline(4);
+  EXPECT_EQ(&net.timeline(4), &asked);
+  EXPECT_EQ(recording(), std::vector<NodeId>{4});
+}
+
+// A timeline first asked for mid-run starts in the radio's state at that
+// instant, and over [request, stop] answers every query like a timeline
+// that listened from t=0. Node 1 is asked while its carrier is busy, node 7
+// during a scheduled outage.
+TEST(Network, TimelineRequestedMidRunStartsInTheRadiosState) {
+  ScenarioConfig cfg = small_grid();
+  cfg.faults.outages.push_back({7, 2 * kSecond, 3 * kSecond});
+  Network net(cfg);
+  net.add_flow(4, 1, 200);
+  net.build_random_flows();
+  const SimDuration retention = seconds_to_time(cfg.timeline_retention_s);
+  phy::CsTimeline busy_ref(retention);
+  phy::CsTimeline deaf_ref(retention);
+  net.radio(1).add_listener(&busy_ref);
+  net.radio(7).add_listener(&deaf_ref);
+  const SimTime stop = seconds_to_time(4);
+  net.start_traffic(0, stop);
+
+  SimTime busy_at = kSecond;
+  net.run_until(busy_at);
+  while (!net.radio(1).carrier_busy() && busy_at < 2 * kSecond) {
+    net.run_until(busy_at += kMicrosecond);
+  }
+  ASSERT_TRUE(net.radio(1).carrier_busy());
+  const phy::CsTimeline& busy = net.timeline(1);
+  ASSERT_TRUE(busy.busy_at_end());
+  EXPECT_EQ(busy.busy_time(0, busy_at), 0);  // no history before the request
+
+  const SimTime deaf_at = 2500 * kMillisecond;
+  net.run_until(deaf_at);
+  ASSERT_TRUE(net.radio(7).in_outage());
+  const phy::CsTimeline& deaf = net.timeline(7);
+  EXPECT_EQ(deaf.outage_time(0, deaf_at), 0);
+  net.run_until(stop);
+
+  const auto expect_same = [&](const phy::CsTimeline& lazy,
+                               const phy::CsTimeline& ref, SimTime from) {
+    EXPECT_EQ(lazy.busy_at_end(), ref.busy_at_end());
+    EXPECT_GT(lazy.recorded_transitions(), 1u);
+    for (SimTime a = from; a < stop; a += 100 * kMillisecond) {
+      for (const SimTime b : {std::min(a + 100 * kMillisecond, stop), stop}) {
+        EXPECT_EQ(lazy.busy_time(a, b), ref.busy_time(a, b)) << a << ".." << b;
+        EXPECT_EQ(lazy.outage_time(a, b), ref.outage_time(a, b)) << a << ".." << b;
+        const phy::SlotCounts got = lazy.count_slots(a, b, cfg.mac.slot_time);
+        const phy::SlotCounts want = ref.count_slots(a, b, cfg.mac.slot_time);
+        EXPECT_EQ(got.idle, want.idle) << a << ".." << b;
+        EXPECT_EQ(got.busy, want.busy) << a << ".." << b;
+        EXPECT_EQ(got.idle_periods, want.idle_periods) << a << ".." << b;
+      }
+    }
+  };
+  expect_same(busy, busy_ref, busy_at);
+  expect_same(deaf, deaf_ref, deaf_at);
+  EXPECT_EQ(deaf.outage_time(deaf_at, stop), 3 * kSecond - deaf_at);
 }
 
 TEST(Network, SameSeedReproducesExactly) {

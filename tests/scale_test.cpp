@@ -189,6 +189,8 @@ TEST(LayoutIndex, ConnectivityMatchesReferenceAcrossRanges) {
 net::ScaleWorkload::Stats run_scale(const net::ScaleScenarioParams& params) {
   const auto config = net::make_scale_config(params);
   net::Network net(config);
+  // Nodes record only once asked, so every node asks before the run.
+  for (NodeId i = 0; i < net.size(); ++i) net.timeline(i);
   net::ScaleWorkload workload(net, config.num_flows, config.packets_per_second,
                               config.seed);
   workload.start(kSecond, seconds_to_time(config.sim_seconds));
@@ -250,6 +252,8 @@ TEST(ScaleMemory, PerNodeRetentionStaysUnderBudget) {
   config.faults.loss_probability = 0.2;  // lossy: retries inflate traffic
 
   net::Network net(config);
+  // Nodes record only once asked, so every node asks before the run.
+  for (NodeId i = 0; i < net.size(); ++i) net.timeline(i);
   net::ScaleWorkload workload(net, config.num_flows, config.packets_per_second,
                               config.seed);
   workload.start(kSecond, seconds_to_time(config.sim_seconds));
@@ -260,19 +264,16 @@ TEST(ScaleMemory, PerNodeRetentionStaysUnderBudget) {
   const std::size_t per_node_ceiling =
       (params.timeline_max_transitions + phy::CsTimeline::kDefaultMaxOutages) *
       16;
-  bool some_node_pruned = false;
+  bool some_node_compacted = false;
   for (NodeId i = 0; i < net.size(); ++i) {
     const auto& tl = net.timeline(i);
     EXPECT_LE(tl.retained_memory_bytes(), per_node_ceiling) << "node " << i;
     EXPECT_LE(tl.budget_stats().peak_transitions,
               params.timeline_max_transitions)
         << "node " << i;
-    if (tl.budget_stats().peak_transitions > 0 ||
-        tl.recorded_transitions() > 0) {
-      some_node_pruned = true;
-    }
+    if (tl.budget_stats().compactions > 0) some_node_compacted = true;
   }
-  EXPECT_TRUE(some_node_pruned);  // the run actually generated history
+  EXPECT_TRUE(some_node_compacted);  // the budget, not retention, bound it
 
   // Channel index: bounded per node, O(N) overall.
   EXPECT_LE(net.channel().index_memory_bytes(), net.size() * std::size_t{32768});
