@@ -2,7 +2,10 @@
 // simulation second this library runs.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
@@ -57,11 +60,89 @@ void BM_CancelChurnSteadyState(benchmark::State& state) {
     live[i] = q.schedule(++t, [] {});
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["heap_entries"] =
-      static_cast<double>(q.heap_entries());
+  state.counters["stored_entries"] =
+      static_cast<double>(q.stored_entries());
   state.counters["live"] = static_cast<double>(q.size());
 }
 BENCHMARK(BM_CancelChurnSteadyState);
+
+// Delay bands (scheduled time minus scheduling instant) for QueueShape; the
+// last three lie past the wheel's 67 ms window.
+constexpr std::array<std::pair<manet::SimTime, manet::SimTime>, 8> kDelayBands{{
+    {0, 60 * manet::kMicrosecond},
+    {60 * manet::kMicrosecond, 700 * manet::kMicrosecond},
+    {700 * manet::kMicrosecond, 2 * manet::kMillisecond},
+    {2 * manet::kMillisecond, 20500 * manet::kMicrosecond},
+    {20500 * manet::kMicrosecond, 67 * manet::kMillisecond},
+    {67 * manet::kMillisecond, 250 * manet::kMillisecond},
+    {250 * manet::kMillisecond, 1000 * manet::kMillisecond},
+    {1000 * manet::kMillisecond, 4000 * manet::kMillisecond},
+}};
+
+// The queue a benchmark workload puts on the kernel, as an instrumented
+// queue counted it over a whole `benchmark/run.py --seed 7 --seconds 10`
+// run (every simulation, calibration probes included).
+struct QueueShape {
+  int live;        // mean number of live events when one is dispatched
+  int cancel_pct;  // share of scheduled events cancelled before they fire
+  std::array<int, kDelayBands.size()> delay_bp;  // schedules per band, per 10^4
+};
+
+// A standing population of `live` timers, the earliest dispatched one at a
+// time as the Simulator's loop does (next_time(), then pop()). Each
+// dispatch schedules its successor, and cancels (a random timer cancelled
+// and scheduled again, as the DCF freezes and resumes its back-off
+// countdown) make up `cancel_pct` of all schedules. Delays are drawn by
+// the measured band shares, uniformly within a band. One iteration is one
+// dispatched event, churn included.
+void BM_QueueShape(benchmark::State& state, QueueShape shape) {
+  using manet::SimTime;
+  EventQueue q;
+  manet::util::Xoshiro256ss rng(11);
+  SimTime now = 0;
+  int total_bp = 0;
+  for (const int bp : shape.delay_bp) total_bp += bp;
+  const auto delay = [&]() -> SimTime {
+    auto r = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(total_bp)));
+    std::size_t band = 0;
+    while (r >= shape.delay_bp[band]) r -= shape.delay_bp[band++];
+    const auto [lo, hi] = kDelayBands[band];
+    return lo + static_cast<SimTime>(rng.uniform_int(static_cast<std::uint64_t>(hi - lo)));
+  };
+  std::vector<manet::sim::EventId> timers(static_cast<std::size_t>(shape.live));
+  std::size_t fired = 0;
+  const auto arm = [&](std::size_t j) {
+    timers[j] = q.schedule(now + delay(), [&fired, j] { fired = j; }, now);
+  };
+  for (std::size_t j = 0; j < timers.size(); ++j) arm(j);
+  // Cancels per dispatch, so that cancels / schedules = cancel_pct / 100.
+  const double churn = shape.cancel_pct / (100.0 - shape.cancel_pct);
+  double owed = 0.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(q.next_time());
+    auto d = q.pop();
+    now = d.key.time;
+    d.fn();
+    arm(fired);  // the dispatched timer's successor
+    for (owed += churn; owed >= 1.0; owed -= 1.0) {
+      const std::size_t j = rng.uniform_int(timers.size());
+      q.cancel(timers[j]);
+      arm(j);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["live"] = static_cast<double>(q.size());
+  state.counters["stored_entries"] = static_cast<double>(q.stored_entries());
+}
+// allpairs_deg8: few live events; 1.1% of schedules past the window.
+BENCHMARK_CAPTURE(BM_QueueShape, allpairs_deg8,
+                  QueueShape{15, 18, {1292, 5205, 92, 3137, 163, 99, 12, 0}});
+// paper_grid: freeze/resume churn; 42% of schedules cancelled.
+BENCHMARK_CAPTURE(BM_QueueShape, paper_grid,
+                  QueueShape{40, 42, {978, 4560, 794, 3560, 92, 14, 2, 0}});
+// scale_rwp_1k: a deeper queue; 66% cancelled, 0.18% past the window.
+BENCHMARK_CAPTURE(BM_QueueShape, scale_rwp_1k,
+                  QueueShape{142, 66, {67, 9584, 131, 199, 0, 1, 5, 12}});
 
 void BM_SimulatorSelfScheduling(benchmark::State& state) {
   // A single self-rescheduling timer: the pattern of per-node periodic work.

@@ -90,9 +90,11 @@ echo "== Release build (bench preset: -O3, IPO) =="
 cmake --preset bench >/dev/null
 build_without_warnings build-bench
 # The benchmark times this optimization level, so the result digests and
-# the replay and hub equivalences must hold in it too.
+# the replay and hub equivalences must hold in it too, and so must the
+# event queue (the timer wheel's shift and mask arithmetic against the
+# reference heap, EventQueueDifferential) and the simulator loop over it.
 ctest --test-dir build-bench --output-on-failure -j "$jobs" \
-    -R 'Golden|TraceReplay|HubEquivalence'
+    -R 'Golden|TraceReplay|HubEquivalence|EventQueue|Simulator'
 
 echo "== ASan + UBSan build =="
 # A build-asan dir configured without sanitizers (e.g. a copied plain build)
@@ -137,14 +139,15 @@ diff <(strip_timing "$smoke_dir/fig5.json") \
 echo "== perf smoke (ASan + UBSan) =="
 # The spatial-index fast path must not change results: the
 # serial-vs-parallel diff above already ran on the optimized kernel; here a
-# fixed-iteration pass over the micro benches walks the optimized EventQueue,
+# fixed-iteration pass over the micro benches walks the timer-wheel EventQueue,
 # CsTimeline sweep, and channel grid under the sanitizers.
 ./build-asan/bench/micro_sim_components \
     --benchmark_min_time=0 \
     --benchmark_filter='BM_FullDcfExchange|BM_Table1NetworkSimSecond' >/dev/null
 ./build-asan/bench/micro_event_queue \
     --benchmark_min_time=0 \
-    --benchmark_filter='BM_ScheduleAndPop/1024|BM_CancelChurnSteadyState' >/dev/null
+    --benchmark_filter='BM_ScheduleAndPop/1024|BM_CancelChurnSteadyState|BM_QueueShape' \
+    >/dev/null
 
 echo "== detection pipeline smoke (ASan + UBSan) =="
 # The all-pairs workload (many monitor lanes per node) must be

@@ -82,11 +82,6 @@ AodvRouter::AodvRouter(sim::Simulator& simulator, mac::DcfMac& mac,
                        const AodvParams& params)
     : sim_(simulator), mac_(mac), params_(params) {
   mac_.set_listener(this);
-  // In flood-heavy scale workloads every node sees hundreds of distinct
-  // (origin, rreq_id) pairs; growing the dedup set from empty costs a
-  // rehash cascade on the hottest receive path. Pre-sizing is pure
-  // allocation policy — membership semantics are unchanged.
-  seen_rreqs_.reserve(512);
 }
 
 bool AodvRouter::submit(NodeId dest, std::uint32_t payload_bytes,
@@ -240,7 +235,7 @@ void AodvRouter::handle_rreq(const mac::Frame& frame) {
   const NodeId origin = frame.net_source;
   const NodeId dest = frame.net_destination;
   if (origin == id()) return;  // our own flood echoed back
-  if (!seen_rreqs_.insert(rreq_key(origin, frame.aodv.rreq_id)).second) {
+  if (!seen_rreqs_.insert(rreq_key(origin, frame.aodv.rreq_id))) {
     return;  // duplicate
   }
 

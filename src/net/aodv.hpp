@@ -22,6 +22,7 @@
 #include "mac/dcf.hpp"
 #include "net/traffic.hpp"
 #include "sim/simulator.hpp"
+#include "util/flat_u64_set.hpp"
 #include "util/types.hpp"
 
 namespace manet::net {
@@ -127,8 +128,8 @@ class AodvRouter : public mac::MacListener, public PacketSink {
   RouteTable table_;
   std::uint32_t own_seq_ = 0;
   std::uint32_t next_rreq_id_ = 1;
-  // RREQ duplicate suppression: (origin, rreq_id) pairs recently seen.
-  std::unordered_set<std::uint64_t> seen_rreqs_;
+  // RREQ duplicate suppression: every (origin, rreq_id) pair seen.
+  util::FlatU64Set seen_rreqs_;
   // Packets awaiting a route, per destination.
   std::unordered_map<NodeId, std::deque<mac::Frame>> pending_;
   // Destinations with an active discovery (to avoid duplicate RREQs).

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <functional>
 #include <map>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "reference_event_queue.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -93,36 +95,41 @@ TEST(EventQueue, SlotReuseInvalidatesStaleIds) {
 TEST(EventQueue, HeapStaysBoundedWhenCancelsDominate) {
   // The MAC's back-off pattern: a standing population of timers where
   // nearly every scheduled event is cancelled and replaced before firing.
-  // Lazy cancellation must not let dead heap entries accumulate.
-  EventQueue q;
-  manet::util::Xoshiro256ss rng(99);
-  std::vector<EventId> live(64, kInvalidEvent);
-  SimTime t = 0;
-  for (auto& id : live) id = q.schedule(++t, [] {});
-  for (int i = 0; i < 100000; ++i) {
-    const std::size_t k = rng.uniform_int(live.size());
-    q.cancel(live[k]);
-    live[k] = q.schedule(++t, [] {});
+  // Lazy cancellation must not let dead heap entries accumulate. Timers
+  // from t = 0 sit in the wheel (eager cancel); timers from 1 s lie past
+  // its window, in the far heap with lazy cancels (AODV's 250 ms
+  // discovery timeouts).
+  for (const SimTime start : {SimTime{0}, kSecond}) {
+    EventQueue q;
+    manet::util::Xoshiro256ss rng(99);
+    std::vector<EventId> live(64, kInvalidEvent);
+    SimTime t = start;
+    for (auto& id : live) id = q.schedule(++t, [] {});
+    for (int i = 0; i < 100000; ++i) {
+      const std::size_t k = rng.uniform_int(live.size());
+      q.cancel(live[k]);
+      live[k] = q.schedule(++t, [] {});
+    }
+    EXPECT_EQ(q.size(), live.size());
+    // Compaction keeps dead entries at most on par with live ones (modulo
+    // the small-heap threshold below which compaction never bothers).
+    EXPECT_LE(q.stored_entries(), 2 * q.size() + 64);
+    // And exactly the live set dispatches, in time order.
+    std::size_t popped = 0;
+    SimTime prev = start;
+    while (!q.empty()) {
+      const auto d = q.pop();
+      EXPECT_GT(d.key.time, prev);
+      prev = d.key.time;
+      ++popped;
+    }
+    EXPECT_EQ(popped, live.size());
   }
-  EXPECT_EQ(q.size(), live.size());
-  // Compaction keeps dead entries at most on par with live ones (modulo
-  // the small-heap threshold below which compaction never bothers).
-  EXPECT_LE(q.heap_entries(), 2 * q.size() + 64);
-  // And exactly the live set dispatches, in time order.
-  std::size_t popped = 0;
-  SimTime prev = 0;
-  while (!q.empty()) {
-    const auto d = q.pop();
-    EXPECT_GT(d.key.time, prev);
-    prev = d.key.time;
-    ++popped;
-  }
-  EXPECT_EQ(popped, live.size());
 }
 
 TEST(EventQueue, SchedulingInstantKeyKeepsTimeSeqOrder) {
-  // The heap orders by (time, scheduled_at, seq). With scheduled_at taken
-  // from a clock that never decreases (the Simulator's now()), random
+  // The event queue orders by (time, scheduled_at, seq). With scheduled_at
+  // taken from a clock that never decreases (the Simulator's now()), random
   // schedule/cancel/pop sequences must dispatch in plain (time, seq) order.
   util::Xoshiro256ss rng(2024);
   for (int trial = 0; trial < 40; ++trial) {
@@ -161,6 +168,145 @@ TEST(EventQueue, SchedulingInstantKeyKeepsTimeSeqOrder) {
     while (!q.empty()) pop_one();
     ASSERT_EQ(got, want);
     EXPECT_TRUE(reference.empty());
+  }
+}
+
+// The wheel against the binary heap it replaced (tests/reference_event_
+// queue.*): random operation sequences must give both queues identical
+// ids, sizes, next times and (key, id) dispatch streams. Each trial draws
+// its own mix of event times, so some trials crowd one 16.4 us bucket past
+// its cap, some spread over the 67 ms window, some mostly past it (the far
+// heap, its lazy cancels and compaction, and migration into the wheel),
+// some at the window's end, some near kTimeNever, and some schedule behind
+// the last pop, which moves the wheel's window back.
+TEST(EventQueueDifferential, MatchesReferenceHeapOnRandomSequences) {
+  constexpr SimTime kBucket = SimTime{1} << 14;
+  constexpr SimTime kWindow = kBucket << 12;
+  util::Xoshiro256ss rng(20251020);
+  for (int trial = 0; trial < 120; ++trial) {
+    EventQueue q;
+    ReferenceEventQueue ref;
+    std::vector<EventId> issued;
+    std::vector<std::uint64_t> reserved;
+    std::vector<SimTime> times;  // earlier event times, for exact ties
+    std::vector<std::pair<EventKey, EventId>> got;
+    std::vector<std::pair<EventKey, EventId>> want;
+    SimTime clock = static_cast<SimTime>(rng.uniform_int(1u << 30));
+    int fired_q = -1;
+    int fired_ref = -1;
+    // Per-trial weights of the eight time shapes below.
+    std::vector<std::uint64_t> weight(8);
+    for (auto& w : weight) w = rng.uniform_int(4);
+    weight[1] += 1;  // never all zero
+    std::uint64_t total = 0;
+    for (const auto w : weight) total += w;
+
+    const auto later = [&](SimTime d) {  // clock + d, saturated at kTimeNever
+      return d > kTimeNever - clock ? kTimeNever : clock + d;
+    };
+    const auto draw_time = [&]() -> SimTime {
+      std::uint64_t r = rng.uniform_int(total);
+      int shape = 0;
+      while (r >= weight[static_cast<std::size_t>(shape)]) {
+        r -= weight[static_cast<std::size_t>(shape)];
+        ++shape;
+      }
+      switch (shape) {
+        case 0:  // an exact tie with an earlier time
+          if (!times.empty()) return times[rng.uniform_int(times.size())];
+          return clock;
+        case 1:  // within the current bucket's reach
+          return later(static_cast<SimTime>(rng.uniform_int(kBucket)));
+        case 2:  // across many buckets of the window
+          return later(static_cast<SimTime>(rng.uniform_int(kWindow)));
+        case 3:  // past the window's end
+          return later(kWindow + static_cast<SimTime>(rng.uniform_int(16 * kWindow)));
+        case 4:  // close to kTimeNever (kTimeNever itself included)
+          return kTimeNever - static_cast<SimTime>(rng.uniform_int(4 * kWindow));
+        case 5:  // behind the last pop, possibly by more than a window
+          return clock - static_cast<SimTime>(rng.uniform_int(2 * kWindow));
+        case 6:  // the current tick or the next: crowds a bucket past the
+                 // 32 events it takes, and the rest of the tick overflows
+                 // to the heap
+          return later((clock / kBucket + static_cast<SimTime>(rng.uniform_int(2))) *
+                           kBucket -
+                       clock + static_cast<SimTime>(rng.uniform_int(kBucket)));
+        default:  // the buckets around the window's end
+          return later(((clock / kBucket + 4094 +
+                         static_cast<SimTime>(rng.uniform_int(4))) * kBucket) -
+                       clock + static_cast<SimTime>(rng.uniform_int(kBucket)));
+      }
+    };
+    const auto schedule = [&](int op) {
+      const SimTime t = draw_time();
+      times.push_back(t);
+      EventId a;
+      EventId b;
+      if (!reserved.empty() && rng.uniform_int(4) == 0) {
+        // A key "as of" an earlier instant, with a seq reserved earlier.
+        const std::size_t i = rng.uniform_int(reserved.size());
+        const EventKey key{t, clock - static_cast<SimTime>(rng.uniform_int(kWindow)),
+                           reserved[i]};
+        reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(i));
+        a = q.schedule_at_key(key, [&fired_q, op] { fired_q = op; });
+        b = ref.schedule_at_key(key, [&fired_ref, op] { fired_ref = op; });
+      } else {
+        const SimTime at = clock - static_cast<SimTime>(rng.uniform_int(3));
+        a = q.schedule(t, [&fired_q, op] { fired_q = op; }, at);
+        b = ref.schedule(t, [&fired_ref, op] { fired_ref = op; }, at);
+      }
+      ASSERT_EQ(a, b);
+      issued.push_back(a);
+    };
+    const auto pop_one = [&] {
+      auto d = q.pop();
+      auto e = ref.pop();
+      d.fn();
+      e.fn();
+      ASSERT_EQ(fired_q, fired_ref);
+      got.emplace_back(d.key, d.id);
+      want.emplace_back(e.key, e.id);
+      clock = d.key.time;
+    };
+
+    for (int op = 0; op < 2500; ++op) {
+      const std::uint64_t r = rng.uniform_int(100);
+      if (r < 40) {
+        schedule(op);
+      } else if (r < 45) {
+        const std::uint64_t s = q.reserve_seq();
+        ASSERT_EQ(s, ref.reserve_seq());
+        reserved.push_back(s);
+      } else if (r < 70 && !issued.empty()) {
+        // Mostly recent ids (live ones), sometimes any id ever issued.
+        const std::size_t n = issued.size();
+        const std::size_t i = rng.uniform_int(2) == 0
+                                  ? n - 1 - rng.uniform_int(std::min<std::size_t>(n, 8))
+                                  : rng.uniform_int(n);
+        ASSERT_EQ(q.pending(issued[i]), ref.pending(issued[i]));
+        q.cancel(issued[i]);
+        ref.cancel(issued[i]);
+      } else if (r < 78) {
+        ASSERT_EQ(q.next_time(), ref.next_time());
+      } else if (r < 99) {
+        if (!q.empty()) pop_one();
+      } else if (rng.uniform_int(8) == 0) {
+        q.clear();
+        ref.clear();
+      }
+      ASSERT_EQ(q.size(), ref.size());
+      ASSERT_LE(q.stored_entries(), 2 * q.size() + 64);
+    }
+    while (!q.empty()) pop_one();
+    ASSERT_TRUE(ref.empty());
+    ASSERT_EQ(q.next_time(), kTimeNever);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].second, want[i].second) << "trial " << trial << " pop " << i;
+      ASSERT_EQ(got[i].first.time, want[i].first.time);
+      ASSERT_EQ(got[i].first.scheduled_at, want[i].first.scheduled_at);
+      ASSERT_EQ(got[i].first.seq, want[i].first.seq);
+    }
   }
 }
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_set>
 #include <vector>
 
 #include "util/config.hpp"
+#include "util/flat_u64_set.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -230,6 +232,23 @@ TEST(Flags, ParsesKeyValueAndHelp) {
   EXPECT_THROW(util::parse_flags(2, bad, c), util::ConfigError);
   const char* malformed[] = {"prog", "--rate"};
   EXPECT_THROW(util::parse_flags(2, malformed, c), util::ConfigError);
+}
+
+TEST(FlatU64Set, DuplicatesDetectedAcrossGrowth) {
+  // AODV's RREQ keys, (origin << 32) | rreq_id with rreq_id >= 1, arriving
+  // interleaved over many origins as floods do: every key must be new
+  // exactly once, before and after each table growth, as in a node-based
+  // set.
+  util::FlatU64Set set;
+  std::unordered_set<std::uint64_t> oracle;
+  util::Xoshiro256ss rng(31);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t origin = rng.uniform_int(300);
+    const std::uint64_t id = 1 + rng.uniform_int(120);
+    const std::uint64_t key = (origin << 32) | id;
+    ASSERT_EQ(set.insert(key), oracle.insert(key).second) << "insert " << i;
+  }
+  for (const std::uint64_t key : oracle) EXPECT_FALSE(set.insert(key));
 }
 
 }  // namespace
