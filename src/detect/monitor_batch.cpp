@@ -1,5 +1,6 @@
 #include "detect/monitor_batch.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -380,57 +381,73 @@ std::size_t MonitorBatch::add_lane(NodeId tagged, const MonitorConfig& config) {
   const std::size_t lane = lane_stats_.size();
 
   lane_group_.push_back(&group);
-  lane_sample_size_.push_back(config.sample_size);
   lane_alpha_.push_back(config.alpha);
   lane_margin_.push_back(config.margin_fraction);
   lane_wilcoxon_.push_back(config.wilcoxon);
   lane_active_.push_back(1);
-  lane_window_flag_.push_back(0);
-  lane_record_samples_.push_back(config.record_samples ? 1 : 0);
-
-  std::size_t slot = kNoSeqSlot;
-  if (config.detector != DetectorKind::kWilcoxon) {
-    slot = seq_bank_.add(config.detector, config.cusum, config.sprt);
-  }
-  lane_seq_slot_.push_back(slot);
-  lane_seq_samples_.push_back(0);
-
-  // Sequential lanes never buffer samples; Wilcoxon lanes own a
-  // sample_size-wide slice of the arenas.
-  const std::size_t capacity = slot == kNoSeqSlot ? config.sample_size : 0;
-  lane_off_.push_back(xs_arena_.size());
-  lane_fill_.push_back(0);
-  xs_arena_.resize(xs_arena_.size() + capacity);
-  ys_arena_.resize(ys_arena_.size() + capacity);
-
   lane_stats_.emplace_back();
   lane_windows_.emplace_back();
   lane_samples_.emplace_back();
 
+  const std::size_t window = window_for(group, config);
+  windows_[window].lanes.push_back(lane);
+  lane_window_.push_back(window);
+
+  fold_pending(group);  // pending deltas predate the new lane
   group.lanes_.push_back(lane);
+  if (config.record_samples) group.record_lanes_.push_back(lane);
   ++group.active_lanes_;  // lanes start active
   return lane;
 }
 
+std::size_t MonitorBatch::window_for(Group& group, const MonitorConfig& config) {
+  if (config.detector == DetectorKind::kWilcoxon) {
+    for (const std::size_t w : group.windows_) {
+      const Window& window = windows_[w];
+      const bool untouched =
+          window.samples == 0 && !window.flag &&
+          std::all_of(window.lanes.begin(), window.lanes.end(),
+                      [&](std::size_t lane) { return lane_active_[lane] != 0; });
+      if (window.seq_slot == kNoSeqSlot && window.size == config.sample_size &&
+          untouched) {
+        return w;
+      }
+    }
+  }
+  // A new window: Wilcoxon windows own a sample_size-wide slice of the
+  // arenas; a sequential lane's window buffers nothing.
+  Window window;
+  window.size = config.sample_size;
+  window.off = xs_arena_.size();
+  if (config.detector == DetectorKind::kWilcoxon) {
+    xs_arena_.resize(xs_arena_.size() + config.sample_size);
+    ys_arena_.resize(ys_arena_.size() + config.sample_size);
+  } else {
+    window.seq_slot = seq_bank_.add(config.detector, config.cusum, config.sprt);
+  }
+  windows_.push_back(std::move(window));
+  group.windows_.push_back(windows_.size() - 1);
+  return windows_.size() - 1;
+}
+
 void MonitorBatch::set_lane_active(std::size_t lane, bool active) {
   if ((lane_active_[lane] != 0) == active) return;
-  lane_active_[lane] = active ? 1 : 0;
   Group& group = *lane_group_[lane];
+  fold_pending(group);  // the deltas so far belong to the old active set
+  lane_active_[lane] = active ? 1 : 0;
   if (!active) {
     --group.active_lanes_;
     return;
   }
   ++group.active_lanes_;
-  // Fresh start: discard the partial window, the
-  // detector state, and the group's exchange anchor. The group-level
-  // reset is idempotent across the lanes of one group — the harness
-  // toggles them together with no frames in between.
-  lane_fill_[lane] = 0;
-  lane_window_flag_[lane] = 0;
-  if (lane_seq_slot_[lane] != kNoSeqSlot) {
-    seq_bank_.reset(lane_seq_slot_[lane]);
-    lane_seq_samples_[lane] = 0;
-  }
+  // Fresh start: discard the partial window, the detector state, and the
+  // group's exchange anchor. Both resets are idempotent across the lanes
+  // of one group — the harness toggles them together with no frames in
+  // between.
+  Window& window = windows_[lane_window_[lane]];
+  window.fill = 0;
+  window.flag = false;
+  if (window.seq_slot != kNoSeqSlot) seq_bank_.reset(window.seq_slot);
   group.reset_exchange();
 }
 
@@ -443,119 +460,120 @@ ObservationHub::IntensityTracker& MonitorBatch::lane_tracker(
   return *lane_group_[lane]->arma_;
 }
 
-// --- Fan-out + batched window close ------------------------------------------
+// --- Fan-out + window close -------------------------------------------------
 
-void MonitorBatch::apply_outcome(Group& group, const RtsOutcome& o) {
-  const SimTime now = hub_.simulator().now();
-  due_lanes_.clear();
+void MonitorBatch::fold_pending(Group& group) {
+  // Every outcome counts one RTS, so no RTS since the last fold means no
+  // deltas at all.
+  if (group.pending_.rts_observed == 0) return;
   for (const std::size_t lane : group.lanes_) {
-    if (lane_active_[lane] == 0) continue;
-    MonitorStats& st = lane_stats_[lane];
-    ++st.rts_observed;
-    st.seq_off_violations += o.seq_off_violations;
-    st.attempt_violations += o.attempt_violations;
-    st.impossible_backoff += o.impossible_backoff;
-    st.skipped_no_anchor += o.skipped_no_anchor;
-    st.skipped_long_window += o.skipped_long_window;
-    st.skipped_queue_gap += o.skipped_queue_gap;
-    st.seq_off_resyncs += o.seq_off_resyncs;
-    st.frames_lost += o.frames_lost;
-    st.windows_discarded_impaired += o.windows_discarded_impaired;
-    if (o.single_shot) {
-      WindowResult result;
-      result.at = now;
-      result.p_less = 1.0;
-      result.deterministic_flag = true;
-      record_window(lane, result, /*single_shot=*/true);
-    }
-    if (o.has_record && lane_record_samples_[lane] != 0) {
-      lane_samples_[lane].push_back(o.record);
-    }
-    if (o.deterministic_violation) lane_window_flag_[lane] = 1;
-    if (o.has_sample) {
-      double expected = o.expected_norm;
-      if (!group.config_.prs_aware) {
-        // Baseline: no dictated values — compare against evenly spaced
-        // uniform quantiles, the protocol's marginal back-off
-        // distribution. The quantiles are per lane: the position in the
-        // lane's window (samples % sample_size) differs across lanes.
-        const double k = static_cast<double>(st.samples % lane_sample_size_[lane]);
-        expected = (k + 0.5) / static_cast<double>(lane_sample_size_[lane]);
-      }
-      add_sample(lane, expected, o.observed_norm);
-    }
+    if (lane_active_[lane] != 0) accumulate_stats(lane_stats_[lane], group.pending_);
   }
-  if (!due_lanes_.empty()) close_due_windows();
+  group.pending_ = MonitorStats{};
 }
 
-void MonitorBatch::add_sample(std::size_t lane, double expected,
-                              double observed) {
-  MonitorStats& st = lane_stats_[lane];
-  ++st.samples;
+void MonitorBatch::apply_outcome(Group& group, const RtsOutcome& o) {
+  MonitorStats& d = group.pending_;
+  ++d.rts_observed;
+  d.seq_off_violations += o.seq_off_violations;
+  d.attempt_violations += o.attempt_violations;
+  d.impossible_backoff += o.impossible_backoff;
+  d.skipped_no_anchor += o.skipped_no_anchor;
+  d.skipped_long_window += o.skipped_long_window;
+  d.skipped_queue_gap += o.skipped_queue_gap;
+  d.seq_off_resyncs += o.seq_off_resyncs;
+  d.frames_lost += o.frames_lost;
+  d.windows_discarded_impaired += o.windows_discarded_impaired;
+  if (o.has_sample) ++d.samples;
+  if (o.single_shot) {
+    WindowResult result;
+    result.at = hub_.simulator().now();
+    result.p_less = 1.0;
+    result.deterministic_flag = true;
+    for (const std::size_t lane : group.lanes_) {
+      if (lane_active_[lane] != 0) record_window(lane, result, /*single_shot=*/true);
+    }
+  }
+  if (o.has_record) {
+    for (const std::size_t lane : group.record_lanes_) {
+      if (lane_active_[lane] != 0) lane_samples_[lane].push_back(o.record);
+    }
+  }
+  if (!o.deterministic_violation && !o.has_sample) return;
+  for (const std::size_t w : group.windows_) {
+    Window& window = windows_[w];
+    if (lane_active_[window.lanes.front()] == 0) continue;
+    if (o.deterministic_violation) window.flag = true;
+    if (!o.has_sample) continue;
+    double expected = o.expected_norm;
+    if (!group.config_.prs_aware) {
+      // Baseline: no dictated values — compare against evenly spaced
+      // uniform quantiles, the protocol's marginal back-off distribution.
+      // The quantile is the sample's position in the window's sequence
+      // (samples % sample_size), which differs across sample sizes.
+      const double k = static_cast<double>(window.samples % window.size);
+      expected = (k + 0.5) / static_cast<double>(window.size);
+    }
+    add_sample(window, expected, o.observed_norm);
+  }
+}
 
-  const std::size_t slot = lane_seq_slot_[lane];
-  if (slot != kNoSeqSlot) {
+void MonitorBatch::add_sample(Window& window, double expected, double observed) {
+  ++window.samples;
+  ++window.fill;
+  if (window.seq_slot != kNoSeqSlot) {
     // Sequential path: the running score absorbs the sample immediately;
     // the margin shift makes an honest deficit negative on average, the
     // same H0 the Wilcoxon path tests.
-    const double deficit = expected - observed - lane_margin_[lane];
-    const SequentialBank::Step step = seq_bank_.update(slot, deficit);
-    ++lane_seq_samples_[lane];
+    const double deficit = expected - observed - lane_margin_[window.lanes.front()];
+    const SequentialBank::Step step = seq_bank_.update(window.seq_slot, deficit);
     if (step.flag) {
-      close_sequential(lane, /*crossed=*/true, step.score);
-      seq_bank_.reset(slot);
-    } else if (lane_seq_samples_[lane] >= lane_sample_size_[lane]) {
+      close_sequential(window, /*crossed=*/true, step.score);
+      seq_bank_.reset(window.seq_slot);
+    } else if (window.fill >= window.size) {
       // Checkpoint: an unflagged window carrying the current score, so
       // honest runs still produce ROC denominators and latched
       // deterministic flags surface no later than under Wilcoxon.
-      close_sequential(lane, /*crossed=*/false, step.score);
+      close_sequential(window, /*crossed=*/false, step.score);
     }
     return;
   }
-
-  const std::size_t offset = lane_off_[lane];
-  std::size_t& fill = lane_fill_[lane];
-  xs_arena_[offset + fill] = expected;
-  ys_arena_[offset + fill] = observed;
-  ++fill;
-  if (fill >= lane_sample_size_[lane]) due_lanes_.push_back(lane);
+  xs_arena_[window.off + window.fill - 1] = expected;
+  ys_arena_[window.off + window.fill - 1] = observed;
+  if (window.fill >= window.size) close_window(window);
 }
 
-void MonitorBatch::close_sequential(std::size_t lane, bool crossed,
-                                    double score) {
+void MonitorBatch::close_sequential(Window& window, bool crossed, double score) {
   WindowResult result;
   result.at = hub_.simulator().now();
-  result.deterministic_flag = lane_window_flag_[lane] != 0;
+  result.deterministic_flag = window.flag;
   result.p_less = std::exp(-(score > 0.0 ? score : 0.0));
   result.statistical_flag = crossed;
-  record_window(lane, result);
-  lane_seq_samples_[lane] = 0;
-  lane_window_flag_[lane] = 0;
+  record_window(window.lanes.front(), result);
+  window.fill = 0;
+  window.flag = false;
 }
 
-void MonitorBatch::close_due_windows() {
+void MonitorBatch::close_window(Window& window) {
   const SimTime now = hub_.simulator().now();
-  for (const std::size_t lane : due_lanes_) {
-    const std::size_t offset = lane_off_[lane];
-    const std::size_t n = lane_fill_[lane];
-    const std::span<const double> x(xs_arena_.data() + offset, n);
+  wilcoxon_load(std::span<const double>(xs_arena_.data() + window.off, window.fill),
+                std::span<const double>(ys_arena_.data() + window.off, window.fill),
+                wilcoxon_scratch_);
+  for (const std::size_t lane : window.lanes) {
+    WindowResult result;
+    result.at = now;
+    result.deterministic_flag = window.flag;
     // The observed sample is shifted up by the permissible margin before
     // the one-sided test: only a deficit beyond the margin (a plain
     // fraction of the CW-normalized samples) counts as evidence.
-    shifted_y_.assign(ys_arena_.data() + offset, ys_arena_.data() + offset + n);
-    for (double& v : shifted_y_) v += lane_margin_[lane];
-
-    WindowResult result;
-    result.at = now;
-    result.deterministic_flag = lane_window_flag_[lane] != 0;
     result.p_less =
-        wilcoxon_rank_sum(x, shifted_y_, lane_wilcoxon_[lane], wilcoxon_scratch_).p_less;
+        wilcoxon_shifted(lane_margin_[lane], lane_wilcoxon_[lane], wilcoxon_scratch_)
+            .p_less;
     result.statistical_flag = result.p_less < lane_alpha_[lane];
     record_window(lane, result);
-    lane_fill_[lane] = 0;
-    lane_window_flag_[lane] = 0;
   }
-  due_lanes_.clear();
+  window.fill = 0;
+  window.flag = false;
 }
 
 void MonitorBatch::record_window(std::size_t lane, const WindowResult& result,

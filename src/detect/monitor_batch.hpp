@@ -20,14 +20,21 @@
 //    borrows the hub's shared ring/ARMA/density components under the
 //    hub's usual keying rules. Each decoded frame is evaluated ONCE per
 //    group; the resulting RtsOutcome (counter deltas, deterministic flags,
-//    and the CW-normalized (expected, observed) sample) fans out to the
-//    group's lanes in a flat loop.
-//  * Per-monitor state lives in flat parallel arrays (SoA lanes): window
-//    fill counts, sample arenas (one contiguous [offset, offset+capacity)
-//    slice of a shared buffer per Wilcoxon lane), test thresholds,
-//    detector state (a SequentialBank slot per CUSUM/SPRT lane), stats and
-//    window logs. Lanes that fill on the same RTS close together, one
-//    scalar wilcoxon_rank_sum each over one shared scratch.
+//    and the CW-normalized (expected, observed) sample) is applied once
+//    per group: the deltas join one pending sum that is folded into the
+//    active lanes when they are read or toggled, and the flag and sample
+//    go to the group's windows.
+//  * Per-monitor state lives in flat parallel arrays (SoA lanes): test
+//    thresholds, margins, stats, window and sample logs.
+//  * The lanes of a group that share a sample size also share one sample
+//    window: one [offset, offset+capacity) slice of the batch's arenas, one
+//    fill count and one latched deterministic flag. A group's lanes see the
+//    same RTS outcomes and toggle together, so their windows would fill
+//    identically; the shared window stores each sample once. When it
+//    closes, x and y are sorted once (wilcoxon_load) and each lane is one
+//    wilcoxon_shifted at its margin over one scratch; margins that move no
+//    rank reuse the previous exact tail count. A CUSUM/SPRT lane keeps a
+//    window of its own (no slice, a SequentialBank slot).
 //
 // Equivalence contract: every per-lane output stream (WindowResult
 // sequence, MonitorStats, sample log) is bit-identical to the same
@@ -38,7 +45,7 @@
 // caveat as hub component sharing applies: lanes of one group must be
 // activated/deactivated together (the experiment harness always toggles a
 // node's monitor set as a unit); diverging activity within a group is
-// unsupported.
+// unsupported. A shared window follows the activity of its first lane.
 #pragma once
 
 #include <cstddef>
@@ -79,7 +86,11 @@ class MonitorBatch {
   void set_lane_active(std::size_t lane, bool active);
   bool lane_active(std::size_t lane) const { return lane_active_[lane] != 0; }
 
-  const MonitorStats& lane_stats(std::size_t lane) const {
+  /// The lane's stats up to now. A group's counter deltas are folded into
+  /// its active lanes here (and on every toggle), not per RTS, so the
+  /// reference is current only until the next observed frame.
+  const MonitorStats& lane_stats(std::size_t lane) {
+    fold_pending(*lane_group_[lane]);
     return lane_stats_[lane];
   }
   const std::vector<WindowResult>& lane_windows(std::size_t lane) const {
@@ -154,9 +165,20 @@ class MonitorBatch {
     Monitor::SampleRecord record;
   };
 
-  /// One config-group: the HubView over the shared hub. Facade Monitors
-  /// never attach to the hub themselves, so per-frame dispatch is one
-  /// virtual call per group instead of one per monitor.
+  /// The sample window of the Wilcoxon lanes of one group that share a
+  /// sample size, or of one sequential lane. A lane joins an existing
+  /// window only while it is untouched (no sample, no latched flag, every
+  /// member active), so all members always hold the same state.
+  struct Window {
+    std::size_t size = 0;              // the members' sample_size
+    std::size_t off = 0;               // arena offset (Wilcoxon windows)
+    std::size_t fill = 0;              // samples in the current window
+    std::uint64_t samples = 0;         // samples ever added (= each member's)
+    std::size_t seq_slot = kNoSeqSlot;  // SequentialBank slot; kNoSeqSlot = Wilcoxon
+    bool flag = false;                 // latched deterministic flag
+    std::vector<std::size_t> lanes;    // member lanes, creation order
+  };
+
   class Group : public HubView {
    public:
     Group(MonitorBatch& batch, const GroupKey& key, const MonitorConfig& config);
@@ -208,17 +230,28 @@ class MonitorBatch {
     std::uint32_t last_attempt_ = 0;
 
     std::size_t active_lanes_ = 0;
-    std::vector<std::size_t> lanes_;  // lane indices, creation order
+    std::vector<std::size_t> lanes_;         // lane indices, creation order
+    std::vector<std::size_t> record_lanes_;  // lanes with record_samples set
+    std::vector<std::size_t> windows_;       // window indices, creation order
+    /// Counter deltas (rts_observed, samples, skips, violations) every
+    /// active lane has seen since the last fold_pending. The lanes of a
+    /// group see the same outcomes, so one sum serves them all.
+    MonitorStats pending_;
   };
 
   Group& group_for(NodeId tagged, const MonitorConfig& config);
 
-  /// Fans one evaluated RTS out to the group's lanes, then closes every
-  /// Wilcoxon lane whose window filled on this sample in one batched call.
+  /// Applies one evaluated RTS to a group: its counter deltas join the
+  /// group's pending sum, single-shot verdicts and sample records go to
+  /// each lane's logs, and the flag and sample go to each window (closing
+  /// the windows the sample fills).
   void apply_outcome(Group& group, const RtsOutcome& outcome);
-  void add_sample(std::size_t lane, double expected, double observed);
-  void close_due_windows();
-  void close_sequential(std::size_t lane, bool crossed, double score);
+  std::size_t window_for(Group& group, const MonitorConfig& config);
+  /// Adds the group's pending counter deltas into its active lanes.
+  void fold_pending(Group& group);
+  void add_sample(Window& window, double expected, double observed);
+  void close_window(Window& window);
+  void close_sequential(Window& window, bool crossed, double score);
   void record_window(std::size_t lane, const WindowResult& result,
                      bool single_shot = false);
 
@@ -226,34 +259,27 @@ class MonitorBatch {
   // unique_ptr entries: lanes hold raw pointers across growth, and Group
   // addresses are registered with the hub.
   std::vector<std::unique_ptr<Group>> groups_;
+  std::vector<Window> windows_;
 
   // --- SoA lane arrays (parallel; index = lane id) ---------------------------
   std::vector<Group*> lane_group_;
-  std::vector<std::size_t> lane_sample_size_;
+  std::vector<std::size_t> lane_window_;  // index into windows_
   std::vector<double> lane_alpha_;
   std::vector<double> lane_margin_;
   std::vector<WilcoxonOptions> lane_wilcoxon_;
   std::vector<char> lane_active_;
-  std::vector<char> lane_window_flag_;  // latched deterministic flag
-  std::vector<char> lane_record_samples_;
-  std::vector<std::size_t> lane_seq_slot_;  // SequentialBank slot; kNoSeqSlot = Wilcoxon
-  std::vector<std::size_t> lane_seq_samples_;
-  std::vector<std::size_t> lane_off_;   // arena offset (Wilcoxon lanes)
-  std::vector<std::size_t> lane_fill_;  // samples in the current window
   std::vector<MonitorStats> lane_stats_;
   std::vector<std::vector<WindowResult>> lane_windows_;
   std::vector<std::vector<Monitor::SampleRecord>> lane_samples_;
 
-  // Contiguous per-lane sample slices: lane i owns
-  // [lane_off_[i], lane_off_[i] + lane_sample_size_[i]).
+  // Contiguous per-window sample slices: Wilcoxon window w owns
+  // [windows_[w].off, windows_[w].off + windows_[w].size).
   std::vector<double> xs_arena_;
   std::vector<double> ys_arena_;
 
   SequentialBank seq_bank_;
 
-  // Batched window-close scratch (reused; steady state allocates nothing).
-  std::vector<std::size_t> due_lanes_;
-  std::vector<double> shifted_y_;  // y + margin of the lane being closed
+  // Window-close scratch (reused; steady state allocates nothing).
   WilcoxonScratch wilcoxon_scratch_;
 };
 

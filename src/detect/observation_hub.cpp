@@ -221,9 +221,7 @@ const WindowAccounting& ObservationHub::FrameRing::window_accounting(
   memo_.blocked = blocked_.total_length();
   memo_.uncertain_busy = busy_.total_length() - busy_.intersection_length(blocked_);
 
-  occupied_.clear();
-  for (const util::Interval& iv : busy_.intervals()) occupied_.add(iv.lo, iv.hi);
-  for (const util::Interval& iv : blocked_.intervals()) occupied_.add(iv.lo, iv.hi);
+  occupied_.assign_union(busy_, blocked_);
   SimDuration countable = 0;
   occupied_.complement_within(win_start, win_end, gaps_);
   for (const util::Interval& gap : gaps_) {

@@ -20,9 +20,14 @@
 //  * Normal approximation with tie correction and continuity correction,
 //    for larger samples.
 //
-// The monitor runs one test per closed window, so the hot path is
-// allocation-free: callers hold a WilcoxonScratch whose buffers are reused
-// across calls.
+// The monitor runs one test per closed window and lane, and the lanes
+// that share a window differ only in the margin added to y. So a window is
+// loaded once (x and y sorted into a WilcoxonScratch) and then tested at
+// any number of shifts: each test ranks x against y + shift by one linear
+// merge of the two sorted samples, and the exact tail count is memoized on
+// its inputs, so neighbouring margins whose ranks did not change skip the
+// count. The scalar wilcoxon_rank_sum is the one-shift case of that path.
+// Everything reuses the scratch's buffers: steady state allocates nothing.
 #pragma once
 
 #include <cstddef>
@@ -49,21 +54,38 @@ struct WilcoxonOptions {
 /// so every tail count is exact in both uint64_t and double.
 inline constexpr std::size_t kMaxExactTotal = 56;
 
-/// Reusable buffers for wilcoxon_rank_sum. All vectors grow to the largest
+/// Reusable buffers for the rank-sum test. All vectors grow to the largest
 /// sample seen and are reused afterwards; a default-constructed scratch is
 /// valid for any call.
 struct WilcoxonScratch {
-  std::vector<double> combined;       // x followed by y
-  std::vector<double> ranks;          // midranks of `combined`
-  std::vector<std::size_t> order;     // ascending order of `combined`
-  std::vector<std::int64_t> prefix;   // prefix sums of the sorted doubled ranks
+  std::vector<double> xs;             // loaded x, ascending
+  std::vector<double> ys;             // loaded y, ascending (unshifted)
+  std::vector<std::int64_t> ranks2;   // doubled midranks, ascending
+  std::vector<std::int64_t> prefix;   // prefix sums of the counted doubled ranks
   std::vector<std::uint64_t> counts;  // flat (ny+1) x (cap+1) subset counts
-  std::vector<double> shifted;        // batch path: y + per-item shift
+
+  // The last exact tail count and the (prefix, ny, cap) it was counted
+  // for. The count is a pure function of those, so a hit is exact.
+  std::vector<std::int64_t> memo_prefix;
+  std::size_t memo_ny = 0;
+  std::int64_t memo_cap = -1;  // -1: nothing memoized
+  std::uint64_t memo_count = 0;
 };
 
-/// Requires nx >= 1 and ny >= 1, and options.exact_max_total <=
-/// kMaxExactTotal (throws std::invalid_argument otherwise). Reuses
-/// `scratch` across calls.
+/// Loads one window: copies x and y into `scratch` and sorts them.
+/// Requires nx >= 1 and ny >= 1 (throws std::invalid_argument otherwise).
+void wilcoxon_load(std::span<const double> x, std::span<const double> y,
+                   WilcoxonScratch& scratch);
+
+/// Tests the loaded x against the loaded y + shift: the same result as
+/// wilcoxon_rank_sum(x, y'), where y'[i] = y[i] + shift in double
+/// arithmetic. Requires options.exact_max_total <= kMaxExactTotal (throws
+/// std::invalid_argument otherwise).
+RankSumResult wilcoxon_shifted(double shift, const WilcoxonOptions& options,
+                               WilcoxonScratch& scratch);
+
+/// wilcoxon_load then wilcoxon_shifted(0.0): the same preconditions, and
+/// reuses `scratch` across calls.
 RankSumResult wilcoxon_rank_sum(std::span<const double> x, std::span<const double> y,
                                 const WilcoxonOptions& options,
                                 WilcoxonScratch& scratch);
@@ -72,9 +94,7 @@ RankSumResult wilcoxon_rank_sum(std::span<const double> x, std::span<const doubl
 RankSumResult wilcoxon_rank_sum(std::span<const double> x, std::span<const double> y,
                                 const WilcoxonOptions& options = {});
 
-/// One test of a batch: compare `x` against `y + shift` (a margin shift,
-/// applied into scratch so the batch stays allocation-free over span
-/// inputs).
+/// One test of a batch: compare `x` against `y + shift` (a margin shift).
 struct WilcoxonBatchItem {
   std::span<const double> x;
   std::span<const double> y;

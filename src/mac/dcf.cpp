@@ -120,6 +120,10 @@ void DcfMac::schedule_wake(SimTime at) {
 }
 
 void DcfMac::reevaluate() {
+  // Only a pending back-off reads the medium (a counting one is always
+  // pending): without one there is nothing to start, freeze or wake for,
+  // and prepare_backoff re-reads the medium when the next one is drawn.
+  if (!backoff_pending_) return;
   const SimTime now = sim_.now();
   const bool idle = medium_idle();
 
@@ -203,10 +207,26 @@ void DcfMac::backoff_complete() {
   if (fields.claimed != kInvalidNode) current_->transmitter = fields.claimed;
   Frame rts = make_rts(current_->transmitter, current_->receiver, *current_,
                        static_cast<std::uint32_t>(fields.seq_off),
-                       static_cast<std::uint8_t>(fields.attempt), params_);
+                       static_cast<std::uint8_t>(fields.attempt), params_,
+                       rts_digest(*current_));
   phase_ = SenderPhase::kTxRts;
   ++stats_.rts_sent;
   transmit_frame(rts, OwnTxKind::kRts);
+}
+
+const crypto::Md5Digest& DcfMac::rts_digest(const Frame& data) {
+  // Retries of one payload reuse the digest. The transmitter is part of
+  // the key because a sybil announce policy can change it per attempt.
+  if (!digest_valid_ || digest_transmitter_ != data.transmitter ||
+      digest_payload_id_ != data.payload_id ||
+      digest_payload_bytes_ != data.payload_bytes) {
+    digest_ = payload_digest(data.transmitter, data.payload_id, data.payload_bytes);
+    digest_transmitter_ = data.transmitter;
+    digest_payload_id_ = data.payload_id;
+    digest_payload_bytes_ = data.payload_bytes;
+    digest_valid_ = true;
+  }
+  return digest_;
 }
 
 void DcfMac::transmit_frame(const Frame& frame, OwnTxKind kind) {

@@ -187,6 +187,8 @@ class DcfMac : public phy::RadioListener {
   void finish_success();
   void schedule_wake(SimTime at);
   void update_nav(SimTime until, bool from_rts);
+  /// payload_digest of `data` from its transmitter, cached across retries.
+  const crypto::Md5Digest& rts_digest(const Frame& data);
 
   sim::Simulator& sim_;
   phy::Radio& radio_;
@@ -206,6 +208,13 @@ class DcfMac : public phy::RadioListener {
   std::unique_ptr<Frame> current_;
   std::uint32_t attempt_ = 1;
   std::uint64_t seq_index_ = 0;
+
+  // The last RTS digest and the (transmitter, payload) it hashes.
+  crypto::Md5Digest digest_{};
+  NodeId digest_transmitter_ = kInvalidNode;
+  std::uint64_t digest_payload_id_ = 0;
+  std::uint32_t digest_payload_bytes_ = 0;
+  bool digest_valid_ = false;
 
   SenderPhase phase_ = SenderPhase::kIdle;
   bool backoff_pending_ = false;   // a countdown remains to be completed

@@ -37,18 +37,25 @@ SimDuration frame_airtime(const Frame& frame, const DcfParams& params) {
 }
 
 Frame make_rts(NodeId from, NodeId to, const Frame& data, std::uint32_t seq_off,
-               std::uint8_t attempt, const DcfParams& params) {
+               std::uint8_t attempt, const DcfParams& params,
+               const crypto::Md5Digest& digest) {
   Frame rts;
   rts.type = FrameType::kRts;
   rts.transmitter = from;
   rts.receiver = to;
   rts.seq_off = seq_off % params.seq_off_modulo;
   rts.attempt = attempt;
-  rts.data_digest = payload_digest(from, data.payload_id, data.payload_bytes);
+  rts.data_digest = digest;
   rts.payload_bytes = data.payload_bytes;
   rts.duration = 3 * params.sifs + params.cts_airtime() +
                  params.data_airtime(data.payload_bytes) + params.ack_airtime();
   return rts;
+}
+
+Frame make_rts(NodeId from, NodeId to, const Frame& data, std::uint32_t seq_off,
+               std::uint8_t attempt, const DcfParams& params) {
+  return make_rts(from, to, data, seq_off, attempt, params,
+                  payload_digest(from, data.payload_id, data.payload_bytes));
 }
 
 Frame make_cts(NodeId from, const Frame& rts, const DcfParams& params) {

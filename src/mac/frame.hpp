@@ -73,7 +73,12 @@ crypto::Md5Digest payload_digest(NodeId source, std::uint64_t payload_id,
 SimDuration frame_airtime(const Frame& frame, const DcfParams& params);
 
 /// Builds the four frame types of an RTS/CTS/DATA/ACK exchange with
-/// standard NAV chaining.
+/// standard NAV chaining. The RTS carries `digest`, which must equal
+/// payload_digest(from, data.payload_id, data.payload_bytes); the overload
+/// without it computes it.
+Frame make_rts(NodeId from, NodeId to, const Frame& data, std::uint32_t seq_off,
+               std::uint8_t attempt, const DcfParams& params,
+               const crypto::Md5Digest& digest);
 Frame make_rts(NodeId from, NodeId to, const Frame& data, std::uint32_t seq_off,
                std::uint8_t attempt, const DcfParams& params);
 Frame make_cts(NodeId from, const Frame& rts, const DcfParams& params);

@@ -6,6 +6,7 @@ namespace manet::util {
 
 void IntervalSet::add(SimTime lo, SimTime hi) {
   if (hi <= lo) return;
+  if (!items_.empty() && lo < items_.back().lo) sorted_ = false;
   items_.push_back(Interval{lo, hi});
   normalized_ = false;
 }
@@ -13,21 +14,26 @@ void IntervalSet::add(SimTime lo, SimTime hi) {
 void IntervalSet::clear() {
   items_.clear();
   normalized_ = true;
+  sorted_ = true;
 }
 
 void IntervalSet::normalize() const {
   if (normalized_) return;
-  std::sort(items_.begin(), items_.end(),
-            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::vector<Interval> merged;
-  for (const Interval& iv : items_) {
-    if (!merged.empty() && iv.lo <= merged.back().hi) {
-      merged.back().hi = std::max(merged.back().hi, iv.hi);
+  if (!sorted_) {
+    std::sort(items_.begin(), items_.end(),
+              [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+    sorted_ = true;
+  }
+  // Overlapping or touching neighbours fold into the last kept interval.
+  std::size_t kept = 0;
+  for (std::size_t i = 1; i < items_.size(); ++i) {
+    if (items_[i].lo <= items_[kept].hi) {
+      items_[kept].hi = std::max(items_[kept].hi, items_[i].hi);
     } else {
-      merged.push_back(iv);
+      items_[++kept] = items_[i];
     }
   }
-  items_ = std::move(merged);
+  if (!items_.empty()) items_.resize(kept + 1);
   normalized_ = true;
 }
 
@@ -114,6 +120,20 @@ void IntervalSet::complement_within(SimTime lo, SimTime hi,
 void IntervalSet::merge(const IntervalSet& other) {
   other.normalize();
   for (const Interval& iv : other.items_) add(iv.lo, iv.hi);
+}
+
+void IntervalSet::assign_union(const IntervalSet& a, const IntervalSet& b) {
+  a.normalize();
+  b.normalize();
+  clear();
+  // Adding in lo order keeps sorted_, so normalizing is one merge pass.
+  std::size_t i = 0, j = 0;
+  while (i < a.items_.size() || j < b.items_.size()) {
+    const bool take_a =
+        j == b.items_.size() || (i < a.items_.size() && a.items_[i].lo <= b.items_[j].lo);
+    const Interval& iv = take_a ? a.items_[i++] : b.items_[j++];
+    add(iv.lo, iv.hi);
+  }
 }
 
 }  // namespace manet::util

@@ -17,7 +17,9 @@ struct Interval {
 };
 
 /// A set of half-open intervals, kept normalized (sorted, disjoint,
-/// non-empty) lazily on query.
+/// non-empty) lazily on query. Normalizing merges in place in the set's own
+/// buffer and sorts only when an add arrived out of `lo` order, so a set
+/// filled in time order costs one linear pass.
 class IntervalSet {
  public:
   /// Adds [lo, hi); empty or inverted input is ignored.
@@ -56,11 +58,16 @@ class IntervalSet {
   /// Set union (mutating).
   void merge(const IntervalSet& other);
 
+  /// Replaces the contents with a ∪ b by a linear merge of the two
+  /// normalized sets (no sort), reusing this set's buffer.
+  void assign_union(const IntervalSet& a, const IntervalSet& b);
+
  private:
   void normalize() const;
 
   mutable std::vector<Interval> items_;
   mutable bool normalized_ = true;
+  mutable bool sorted_ = true;  // items_ ascending by lo
 };
 
 }  // namespace manet::util

@@ -97,22 +97,13 @@ double correlation(std::span<const double> xs, std::span<const double> ys) {
 }
 
 std::vector<double> midranks(std::span<const double> values) {
-  std::vector<double> ranks;
-  std::vector<std::size_t> order;
-  midranks_into(values, ranks, order);
-  return ranks;
-}
-
-double midranks_into(std::span<const double> values, std::vector<double>& ranks,
-                     std::vector<std::size_t>& order) {
   const std::size_t n = values.size();
-  order.resize(n);
+  std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return values[a] < values[b]; });
 
-  ranks.assign(n, 0.0);
-  double tie_term = 0.0;
+  std::vector<double> ranks(n, 0.0);
   std::size_t i = 0;
   while (i < n) {
     std::size_t j = i;
@@ -120,14 +111,9 @@ double midranks_into(std::span<const double> values, std::vector<double>& ranks,
     // Positions i..j (0-based) are tied; assign the average 1-based rank.
     const double avg = (static_cast<double>(i + 1) + static_cast<double>(j + 1)) / 2.0;
     for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = avg;
-    // Tie groups surface in ascending-value order, exactly as a sorted scan
-    // over the values would find them, so the accumulated correction term is
-    // bit-identical to the one the pre-optimization Wilcoxon computed.
-    const double t = static_cast<double>(j - i + 1);
-    tie_term += t * t * t - t;
     i = j + 1;
   }
-  return tie_term;
+  return ranks;
 }
 
 double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }

@@ -77,15 +77,6 @@ double correlation(std::span<const double> xs, std::span<const double> ys);
 /// Ranks are 1-based, matching statistical convention.
 std::vector<double> midranks(std::span<const double> values);
 
-/// Allocation-free midranks: writes the ranks into `ranks` (resized to
-/// values.size()) using `order` as index scratch, and returns the tie
-/// correction term sum(t^3 - t) over the tie groups — computed in the same
-/// single pass that assigns the ranks, so Wilcoxon's normal-approximation
-/// path needs no second sort over the combined sample. Buffers keep their
-/// capacity across calls.
-double midranks_into(std::span<const double> values, std::vector<double>& ranks,
-                     std::vector<std::size_t>& order);
-
 /// Standard normal CDF.
 double normal_cdf(double z);
 

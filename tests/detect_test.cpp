@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "detect/arma.hpp"
@@ -437,6 +438,99 @@ TEST(Wilcoxon, BatchMatchesScalarBitForBit) {
       EXPECT_EQ(results[i].p_less, ref.p_less) << "item " << i;
       EXPECT_EQ(results[i].z, ref.z) << "item " << i;
     }
+  }
+}
+
+/// Field-for-field equality of a production result with the oracle's.
+void expect_same_as_reference(const RankSumResult& got,
+                              const ReferenceRankSumResult& ref,
+                              const std::string& where) {
+  EXPECT_EQ(got.exact, ref.exact) << where;
+  EXPECT_EQ(got.w_y, ref.w_y) << where;
+  EXPECT_EQ(got.p_less, ref.p_less) << where;
+  EXPECT_EQ(got.z, ref.z) << where;
+}
+
+TEST(Wilcoxon, SharedWindowMatchesOneScalarTestPerMargin) {
+  // The path the monitor lanes take: one window loaded (sorted) once, then
+  // tested at every margin of the all-pairs lane set plus a few dyadic
+  // margins. Each result must equal the oracle on x against y + margin and
+  // a fresh scalar wilcoxon_rank_sum, bit for bit, on the exact (n = 10)
+  // and approximate (n = 25) paths. x is integer-valued like PRS draws and
+  // y sits on a quarter-slot grid, so y + margin collides with x: at the
+  // dyadic margins exactly, at the others wherever rounding lands on it.
+  util::Xoshiro256ss rng(314);
+  std::vector<double> margins;
+  for (int i = 0; i < 40; ++i) margins.push_back(0.02 + 0.0025 * i);
+  for (const double m : {0.0, 0.25, 0.5, 1.0, 2.0}) margins.push_back(m);
+
+  WilcoxonScratch window_scratch;
+  std::size_t tied_tests = 0;
+  for (int round = 0; round < 30; ++round) {
+    for (const std::size_t n : {std::size_t{10}, std::size_t{25}, std::size_t{3}}) {
+      std::vector<double> x, y;
+      for (std::size_t i = 0; i < n; ++i) {
+        x.push_back(std::floor(rng.uniform(0, 12)));
+        y.push_back(std::floor(rng.uniform(0, 12) * 4.0) / 4.0 - 0.25 * (round % 3));
+      }
+      wilcoxon_load(x, y, window_scratch);
+      for (const double margin : margins) {
+        const std::string where = "round " + std::to_string(round) + " n " +
+                                  std::to_string(n) + " margin " + std::to_string(margin);
+        std::vector<double> shifted(y);
+        for (double& v : shifted) v += margin;
+        const RankSumResult shared =
+            wilcoxon_shifted(margin, WilcoxonOptions{}, window_scratch);
+        expect_same_as_reference(shared, wilcoxon_rank_sum_reference(x, shifted), where);
+        const RankSumResult scalar = wilcoxon_rank_sum(x, shifted);
+        EXPECT_EQ(shared.p_less, scalar.p_less) << where;
+        EXPECT_EQ(shared.z, scalar.z) << where;
+        if (std::any_of(shifted.begin(), shifted.end(), [&](double v) {
+              return std::find(x.begin(), x.end(), v) != x.end();
+            })) {
+          ++tied_tests;
+        }
+      }
+    }
+  }
+  // The collisions the test is about did happen, on many tests.
+  EXPECT_GT(tied_tests, 200u);
+}
+
+TEST(Wilcoxon, TailCountMemoIsNeverStale) {
+  // Two windows with the same ny and the same observed doubled sum (18),
+  // whose doubled-rank prefixes differ in one entry: B ties the x values
+  // at ranks 4 and 5. The tie drops the subset {2, 3, 4} below the cap,
+  // so the lower tails differ (7/20 against 6/20). Alternating them
+  // through one scratch must never return the other window's count.
+  const std::vector<double> y{1, 2, 6};
+  const std::vector<double> xa{3, 4, 5};
+  const std::vector<double> xb{3, 4.5, 4.5};
+  const auto ref_a = wilcoxon_rank_sum_reference(xa, y);
+  const auto ref_b = wilcoxon_rank_sum_reference(xb, y);
+  ASSERT_EQ(ref_a.w_y, ref_b.w_y);
+  ASSERT_NE(ref_a.p_less, ref_b.p_less);
+  WilcoxonScratch scratch;
+  for (int round = 0; round < 3; ++round) {
+    expect_same_as_reference(wilcoxon_rank_sum(xa, y, WilcoxonOptions{}, scratch),
+                             ref_a, "window A");
+    expect_same_as_reference(wilcoxon_rank_sum(xb, y, WilcoxonOptions{}, scratch),
+                             ref_b, "window B");
+  }
+
+  // One prefix at two caps: shifting y by 1.5 moves one y value past one x
+  // value, so the ranks stay 1..6 (the same prefix) but the observed sum,
+  // and with it the count's cap, moves from 18 to 20.
+  std::vector<double> shifted(y);
+  for (double& v : shifted) v += 1.5;
+  const auto ref_shifted = wilcoxon_rank_sum_reference(xa, shifted);
+  ASSERT_NE(ref_shifted.p_less, ref_a.p_less);
+  wilcoxon_load(xa, y, scratch);
+  for (int round = 0; round < 3; ++round) {
+    expect_same_as_reference(wilcoxon_shifted(0.0, WilcoxonOptions{}, scratch), ref_a,
+                             "shift 0");
+    expect_same_as_reference(wilcoxon_shifted(1.5, WilcoxonOptions{}, scratch),
+                             ref_shifted, "shift 1.5");
   }
 }
 

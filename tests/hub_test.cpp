@@ -18,6 +18,7 @@
 #include "detect/monitor.hpp"
 #include "detect/monitor_batch.hpp"
 #include "detect/observation_hub.hpp"
+#include "detect/replay.hpp"
 #include "detect/trace.hpp"
 #include "mac/dcf.hpp"
 #include "phy/channel.hpp"
@@ -152,6 +153,97 @@ TEST(HubEquivalence, SequentialDetectorsBitIdentical) {
   sprt.detector = DetectorKind::kSprt;
   cfg.monitors = {small_monitor(10), cusum, sprt};
   expect_hub_matches_reference(cfg);
+}
+
+/// The all-pairs workload's lane set: 40 margins x 4 sample sizes, all in
+/// one config-group (so each size's 40 margin lanes share one window),
+/// then a CUSUM lane and a lane that keeps its sample log.
+std::vector<MonitorConfig> shared_window_lanes() {
+  std::vector<MonitorConfig> lanes;
+  for (int i = 0; i < 40; ++i) {
+    for (const std::size_t ss : {10, 25, 50, 100}) {
+      MonitorConfig m = small_monitor(ss);
+      m.alpha = 0.01;
+      m.margin_fraction = 0.02 + 0.0025 * i;
+      lanes.push_back(m);
+    }
+  }
+  MonitorConfig cusum = small_monitor(10);
+  cusum.detector = DetectorKind::kCusum;
+  lanes.push_back(cusum);
+  MonitorConfig recorded = small_monitor(25);
+  recorded.margin_fraction = 0.1;
+  recorded.record_samples = true;
+  lanes.push_back(recorded);
+  return lanes;
+}
+
+TEST(HubEquivalence, LanesSharingAWindowBitIdenticalAcrossReactivation) {
+  // Seed 44 hands the monitoring role away and later back to the same
+  // node (asserted below), and runs long enough to close 100-sample
+  // windows.
+  MultiDetectionConfig cfg = base_config(60, 44);
+  cfg.scenario.mobility = net::MobilityKind::kRandomWaypoint;
+  cfg.scenario.max_speed_mps = 20.0;
+  cfg.scenario.pause_s = 0.0;
+  cfg.mobile_handoff = true;
+  cfg.monitors = shared_window_lanes();
+  TraceRecorder recorder;
+  cfg.collect_windows = true;
+  cfg.trace = &recorder;
+  const auto live = run_multi_detection_experiment(cfg);
+  expect_identical_results(live,
+                           reference_replay(recorder, cfg.monitors, cfg.warmup_s));
+
+  // Lane by lane, sample logs included: each node's trace through the
+  // batch (a ReplaySession, byte-identical to the live run) against one
+  // reference monitor per lane. Handoffs suspend a node's whole group and
+  // some node takes the role back later, so shared windows are reset by
+  // a reactivation mid-run.
+  bool reactivated = false;
+  std::size_t samples_logged = 0;
+  for (const auto& writer : recorder.writers()) {
+    const MemoryTraceReader trace(writer->serialize());
+    bool suspended = false;
+    for (const ObservationEvent& ev : trace.events()) {
+      if (ev.kind != ObservationKind::kMarker ||
+          ev.marker_code != static_cast<std::uint32_t>(MarkerCode::kActivity)) {
+        continue;
+      }
+      if (ev.marker_value == 0) suspended = true;
+      if (ev.marker_value != 0 && suspended) reactivated = true;
+    }
+
+    ReplaySession session(trace.header(), cfg.monitors);
+    session.run(trace);
+    const std::vector<NodeId>& targets = trace.header().targets;
+    ASSERT_EQ(session.views().size(), cfg.monitors.size() * targets.size());
+    for (std::size_t v = 0; v < session.views().size(); ++v) {
+      SCOPED_TRACE(::testing::Message()
+                   << "node " << trace.header().node << " lane " << v);
+      const Monitor& lane = *session.views()[v];
+      const ReferenceLane ref = reference_lane(trace, targets[v % targets.size()],
+                                               cfg.monitors[v / targets.size()]);
+      EXPECT_EQ(lane.stats(), ref.stats);
+      EXPECT_EQ(lane.windows(), ref.windows);
+      ASSERT_EQ(lane.sample_log().size(), ref.samples.size());
+      for (std::size_t k = 0; k < ref.samples.size(); ++k) {
+        const Monitor::SampleRecord& a = lane.sample_log()[k];
+        const Monitor::SampleRecord& b = ref.samples[k];
+        EXPECT_EQ(a.expected, b.expected);
+        EXPECT_EQ(a.observed, b.observed);
+        EXPECT_EQ(a.idle_slots, b.idle_slots);
+        EXPECT_EQ(a.busy_unc_slots, b.busy_unc_slots);
+        EXPECT_EQ(a.blocked_slots, b.blocked_slots);
+        EXPECT_EQ(a.attempt, b.attempt);
+        EXPECT_EQ(a.accepted, b.accepted);
+      }
+      samples_logged += ref.samples.size();
+    }
+  }
+  EXPECT_TRUE(reactivated) << "no node was suspended and resumed";
+  EXPECT_GT(samples_logged, 0u);
+  EXPECT_GT(live.per_config[3].windows, 0u);  // a 100-sample window closed
 }
 
 TEST(Hub, AllPairsRejectsMobileHandoff) {

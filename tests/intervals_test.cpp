@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/intervals.hpp"
 #include "util/rng.hpp"
 
@@ -130,6 +133,114 @@ TEST(IntervalSet, PropertyInclusionExclusion) {
     u.merge(b);
     EXPECT_EQ(a.total_length() + b.total_length(),
               u.total_length() + a.intersection_length(b));
+  }
+}
+
+/// The normalized form of `raw` by the textbook route: sort by lo, then
+/// merge overlapping or touching neighbours into a fresh vector.
+std::vector<Interval> sort_and_merge(std::vector<Interval> raw) {
+  std::vector<Interval> kept;
+  for (const Interval& iv : raw) {
+    if (iv.hi > iv.lo) kept.push_back(iv);
+  }
+  std::sort(kept.begin(), kept.end(),
+            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+  std::vector<Interval> merged;
+  for (const Interval& iv : kept) {
+    if (!merged.empty() && iv.lo <= merged.back().hi) {
+      merged.back().hi = std::max(merged.back().hi, iv.hi);
+    } else {
+      merged.push_back(iv);
+    }
+  }
+  return merged;
+}
+
+TEST(IntervalSet, PropertyMatchesSortAndMergeReference) {
+  // One set reused across trials (cleared in between), fed each trial in
+  // one of several shapes: in lo order, shuffled, nested, touching, or
+  // with many equal lo values. Queried mid-fill too, so adds also land
+  // on an already-normalized buffer.
+  Xoshiro256ss rng(79);
+  IntervalSet s;
+  for (int trial = 0; trial < 500; ++trial) {
+    s.clear();
+    std::vector<Interval> raw;
+    const int shape = trial % 5;
+    const int count = static_cast<int>(rng.uniform_int(30));
+    SimTime cursor = 0;
+    for (int i = 0; i < count; ++i) {
+      Interval iv;
+      switch (shape) {
+        case 0:  // in lo order, gaps and overlaps mixed
+          cursor += static_cast<SimTime>(rng.uniform_int(20));
+          iv = {cursor, cursor + static_cast<SimTime>(rng.uniform_int(40))};
+          break;
+        case 1:  // out of order
+          iv.lo = static_cast<SimTime>(rng.uniform_int(400));
+          iv.hi = iv.lo + static_cast<SimTime>(rng.uniform_int(40));
+          break;
+        case 2:  // nested inside one wide interval
+          iv.lo = static_cast<SimTime>(100 + rng.uniform_int(200));
+          iv.hi = iv.lo + static_cast<SimTime>(rng.uniform_int(100 - i % 50));
+          if (i == 0) iv = {50, 400};
+          break;
+        case 3:  // touching: each starts where another ends
+          iv.lo = static_cast<SimTime>(10 * rng.uniform_int(30));
+          iv.hi = iv.lo + 10;
+          break;
+        default:  // equal lo, different hi (plus empty and inverted adds)
+          iv.lo = static_cast<SimTime>(25 * rng.uniform_int(4));
+          iv.hi = iv.lo + static_cast<SimTime>(rng.uniform_int(60)) - 5;
+          break;
+      }
+      raw.push_back(iv);
+      s.add(iv.lo, iv.hi);
+      if (rng.uniform_int(7) == 0) {
+        ASSERT_EQ(s.intervals(), sort_and_merge(raw)) << "trial " << trial;
+      }
+    }
+    const std::vector<Interval> expected = sort_and_merge(raw);
+    ASSERT_EQ(s.intervals(), expected) << "trial " << trial;
+    SimDuration total = 0;
+    for (const Interval& iv : expected) total += iv.length();
+    EXPECT_EQ(s.total_length(), total);
+    EXPECT_EQ(s.empty(), expected.empty());
+  }
+}
+
+TEST(IntervalSet, AssignUnionMatchesMerge) {
+  Xoshiro256ss rng(80);
+  IntervalSet a, b, u;
+  for (int trial = 0; trial < 200; ++trial) {
+    a.clear();
+    b.clear();
+    for (int i = 0; i < 12; ++i) {
+      SimTime lo = static_cast<SimTime>(rng.uniform_int(500));
+      a.add(lo, lo + static_cast<SimTime>(rng.uniform_int(60)));
+      lo = static_cast<SimTime>(rng.uniform_int(500));
+      b.add(lo, lo + static_cast<SimTime>(rng.uniform_int(60)));
+    }
+    IntervalSet merged = a;
+    merged.merge(b);
+    u.assign_union(a, b);  // reused: replaces the previous trial's union
+    EXPECT_EQ(u.intervals(), merged.intervals()) << "trial " << trial;
+  }
+}
+
+TEST(IntervalSet, ClearKeepsTheBuffer) {
+  // Refilling a cleared set with no more intervals than it held before
+  // must reuse its storage: normalizing merges in place.
+  IntervalSet s;
+  for (SimTime t = 0; t < 64; ++t) s.add(20 * (64 - t), 20 * (64 - t) + 5);
+  ASSERT_EQ(s.intervals().size(), 64u);
+  const Interval* buffer = s.intervals().data();
+  for (int round = 0; round < 3; ++round) {
+    s.clear();
+    for (SimTime t = 0; t < 40; ++t) s.add(30 * t, 30 * t + 40);  // overlaps
+    s.add(5, 7);                                                 // out of order
+    EXPECT_EQ(s.intervals().data(), buffer) << "round " << round;
+    EXPECT_EQ(s.intervals().size(), 1u);
   }
 }
 

@@ -413,36 +413,23 @@ void ReferenceMonitor::record_window(const WindowResult& result, bool single_sho
   windows_.push_back(result);
 }
 
-
-namespace {
-
-/// One private replay world for one reference monitor: the same
-/// reconstruction ReplaySession performs, with a hub nobody else shares.
-struct ReferenceWorld {
-  ReferenceWorld(const TraceHeader& header, NodeId target,
-                 const MonitorConfig& config) {
-    timeline.restore(header.timeline);
-    sim.run_until(header.start_time);
-    hub = std::make_unique<ObservationHub>(sim, header.node, header.params,
-                                           timeline);
-    monitor = std::make_unique<ReferenceMonitor>(*hub, target, config);
-  }
-
-  void run(const MemoryTraceReader& trace) {
-    hub->consume(trace, [this](const ObservationEvent& ev) {
-      if (ev.marker_code == static_cast<std::uint32_t>(MarkerCode::kActivity)) {
-        monitor->set_active(ev.marker_value != 0);
-      }
-    });
-  }
-
+ReferenceLane reference_lane(const MemoryTraceReader& trace, NodeId target,
+                             const MonitorConfig& config) {
+  // The same reconstruction ReplaySession performs, with a hub nobody
+  // else shares.
   sim::Simulator sim;
   phy::CsTimeline timeline;
-  std::unique_ptr<ObservationHub> hub;
-  std::unique_ptr<ReferenceMonitor> monitor;
-};
-
-}  // namespace
+  timeline.restore(trace.header().timeline);
+  sim.run_until(trace.header().start_time);
+  ObservationHub hub(sim, trace.header().node, trace.header().params, timeline);
+  ReferenceMonitor monitor(hub, target, config);
+  hub.consume(trace, [&](const ObservationEvent& ev) {
+    if (ev.marker_code == static_cast<std::uint32_t>(MarkerCode::kActivity)) {
+      monitor.set_active(ev.marker_value != 0);
+    }
+  });
+  return ReferenceLane{monitor.stats(), monitor.windows(), monitor.sample_log()};
+}
 
 MultiDetectionResult reference_replay(const TraceRecorder& recorder,
                                       const std::vector<MonitorConfig>& monitors,
@@ -464,16 +451,15 @@ MultiDetectionResult reference_replay(const TraceRecorder& recorder,
     for (std::size_t ci = 0; ci < monitors.size(); ++ci) {
       DetectionResult& out = result.per_config[ci];
       for (const NodeId target : trace.header().targets) {
-        ReferenceWorld world(trace.header(), target, monitors[ci]);
-        world.run(trace);
-        for (const WindowResult& w : world.monitor->windows()) {
+        const ReferenceLane lane = reference_lane(trace, target, monitors[ci]);
+        for (const WindowResult& w : lane.windows) {
           if (w.at < warmup) continue;
           ++out.windows;
           if (w.flagged()) ++out.flagged;
           if (w.statistical_flag) ++out.flagged_statistical;
           out.window_log.push_back(w);
         }
-        accumulate_stats(out.stats, world.monitor->stats());
+        accumulate_stats(out.stats, lane.stats);
       }
     }
   }

@@ -117,6 +117,19 @@ class ReferenceMonitor : public HubView {
   std::vector<SampleRecord> sample_log_;
 };
 
+/// Everything one reference monitor produced over one trace.
+struct ReferenceLane {
+  MonitorStats stats;
+  std::vector<WindowResult> windows;
+  std::vector<ReferenceMonitor::SampleRecord> samples;
+};
+
+/// Replays `trace` into one reference monitor watching `target` with
+/// `config`, in a private replay world (its own simulator, restored
+/// timeline and ObservationHub); kActivity markers toggle it.
+ReferenceLane reference_lane(const MemoryTraceReader& trace, NodeId target,
+                             const MonitorConfig& config);
+
 /// Replays every trace of `recorder` into reference monitors, one private
 /// replay world (simulator, restored timeline, ObservationHub) per
 /// (trace, config, target), and aggregates exactly like replay_detection:

@@ -147,41 +147,6 @@ TEST(Stats, MidranksHandleTies) {
   EXPECT_DOUBLE_EQ(r[2], 3.5);
 }
 
-TEST(Stats, MidranksIntoMatchesMidranksAndTieTerm) {
-  // The single-pass variant must produce the same ranks as midranks() and
-  // a tie term equal to sum(t^3 - t) over the tie groups, for random
-  // samples with and without ties. Buffers are reused across calls.
-  Xoshiro256ss rng(17);
-  std::vector<double> ranks;
-  std::vector<std::size_t> order;
-  for (int round = 0; round < 50; ++round) {
-    std::vector<double> v;
-    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform(0, 40));
-    const bool quantize = (round % 2) == 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = rng.uniform(0, 8);
-      v.push_back(quantize ? std::floor(x) : x);
-    }
-    const double tie_term = util::midranks_into(v, ranks, order);
-    const auto expected = util::midranks(v);
-    ASSERT_EQ(ranks.size(), expected.size());
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(ranks[i], expected[i]);
-
-    // Tie term from first principles: count each distinct value's run.
-    std::vector<double> sorted(v);
-    std::sort(sorted.begin(), sorted.end());
-    double want = 0.0;
-    for (std::size_t i = 0; i < n;) {
-      std::size_t j = i;
-      while (j < n && sorted[j] == sorted[i]) ++j;
-      const double t = static_cast<double>(j - i);
-      want += t * t * t - t;
-      i = j;
-    }
-    EXPECT_EQ(tie_term, want);
-  }
-}
-
 TEST(Stats, NormalCdfAndQuantileAreInverses) {
   for (double p : {0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999}) {
     EXPECT_NEAR(util::normal_cdf(util::normal_quantile(p)), p, 1e-6);
